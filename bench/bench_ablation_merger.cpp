@@ -5,7 +5,8 @@
 //   estimate  — rank candidate merges by the cached-tuple volume
 //               approximation instead of exact scoring
 //
-// Reported: wall time, exact Scorer calls, estimated calls, and the final
+// Reported: wall time, exact Scorer calls, merged boxes served from the
+// Merger's influence memo instead, estimated calls, and the final
 // best influence + F-score (to confirm the optimizations do not degrade
 // quality). Expectation: both optimizations cut exact scorer traffic; the
 // estimate replaces most candidate-ranking scores; quality stays flat.
@@ -40,7 +41,8 @@ int main() {
   std::printf("partitions: %zu\n\n", partitions->size());
 
   TablePrinter table({"quartile", "estimate", "time(s)", "exact scores",
-                      "estimates", "best influence", "F(outer)"});
+                      "memo hits", "estimates", "best influence",
+                      "F(outer)"});
   for (bool quartile : {false, true}) {
     for (bool estimate : {false, true}) {
       MergerOptions mopts;
@@ -62,6 +64,7 @@ int main() {
       BENCH_CHECK_OK(acc);
       table.AddRow({quartile ? "on" : "off", estimate ? "on" : "off",
                     Fmt(seconds), std::to_string(merger.stats().exact_scores),
+                    std::to_string(merger.stats().memo_hits),
                     std::to_string(merger.stats().estimated_scores),
                     Fmt(merged->front().influence, "%.4g"),
                     Fmt(acc->f_score)});

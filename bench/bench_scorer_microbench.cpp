@@ -262,12 +262,13 @@ void BM_MergerEstimateVsExact(benchmark::State& state) {
   ScoredPredicate b = make_part(40, 70);
   std::vector<ScoredPredicate> all = {a, b};
 
+  Predicate box = Predicate::BoundingBox(a.pred, b.pred);
   if (state.range(0) == 0) {
+    const Merger::EstimateIndex index = merger.IndexPartitions(all);
     for (auto _ : state) {
-      benchmark::DoNotOptimize(merger.EstimateMergedInfluence(a, b, all));
+      benchmark::DoNotOptimize(merger.EstimateMergedInfluence(box, index));
     }
   } else {
-    Predicate box = Predicate::BoundingBox(a.pred, b.pred);
     for (auto _ : state) {
       benchmark::DoNotOptimize(scorer.Influence(box).ValueOrDie());
     }

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <set>
+#include <unordered_set>
 
 #include "aggregates/aggregate.h"
 #include "common/macros.h"
@@ -160,7 +160,7 @@ Result<std::vector<ScoredPredicate>> MCPartitioner::Run() {
     if (iteration == 0) {
       SCORPION_ASSIGN_OR_RETURN(fresh, InitialUnits());
     } else {
-      std::set<std::string> seen;
+      std::unordered_set<Predicate> seen;
       for (size_t i = 0; i < predicates.size() && fresh.size() <
            options_.max_candidates_per_iteration; ++i) {
         for (size_t j = i + 1; j < predicates.size() && fresh.size() <
@@ -180,10 +180,7 @@ Result<std::vector<ScoredPredicate>> MCPartitioner::Run() {
           }
           auto inter = Predicate::Intersect(a, b);
           if (!inter.has_value()) continue;
-          std::string key = inter->ToString();
-          if (seen.insert(std::move(key)).second) {
-            fresh.push_back(std::move(*inter));
-          }
+          if (seen.insert(*inter).second) fresh.push_back(std::move(*inter));
         }
       }
     }
@@ -240,10 +237,10 @@ Result<std::vector<ScoredPredicate>> MCPartitioner::Run() {
     // predicate. The merged predicates contain themselves, so they join the
     // frontier too — intersecting two merged strips is how CLIQUE composes
     // dense 1-D regions into the 2-D cluster.
-    std::set<std::string> in_next;
+    std::unordered_set<Predicate> in_next;
     std::vector<const ScoredPredicate*> rescore;
     for (const ScoredPredicate& m : improving) {
-      if (in_next.insert(m.pred.ToString()).second) rescore.push_back(&m);
+      if (in_next.insert(m.pred).second) rescore.push_back(&m);
     }
     SCORPION_ASSIGN_OR_RETURN(
         std::vector<MCCandidate> next,
@@ -251,10 +248,10 @@ Result<std::vector<ScoredPredicate>> MCPartitioner::Run() {
             scorer_.thread_pool(), rescore.size(),
             [&](size_t i) { return ScoreCandidate(rescore[i]->pred); }));
     for (MCCandidate& cand : kept) {
-      if (in_next.count(cand.scored.pred.ToString()) > 0) continue;
+      if (in_next.count(cand.scored.pred) > 0) continue;
       for (const ScoredPredicate& m : improving) {
         if (Predicate::SyntacticallyContains(m.pred, cand.scored.pred)) {
-          in_next.insert(cand.scored.pred.ToString());
+          in_next.insert(cand.scored.pred);
           next.push_back(std::move(cand));
           break;
         }
@@ -268,11 +265,7 @@ Result<std::vector<ScoredPredicate>> MCPartitioner::Run() {
   std::vector<ScoredPredicate> out;
   if (std::isfinite(best.influence)) out.push_back(best);
   for (ScoredPredicate& m : all_merged) out.push_back(std::move(m));
-  std::set<std::string> seen;
-  std::vector<ScoredPredicate> unique;
-  for (ScoredPredicate& sp : out) {
-    if (seen.insert(sp.pred.ToString()).second) unique.push_back(std::move(sp));
-  }
+  std::vector<ScoredPredicate> unique = UniquePredicates(std::move(out));
   std::sort(unique.begin(), unique.end(), ByInfluenceDesc);
   return unique;
 }

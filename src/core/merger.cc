@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
+#include <unordered_map>
 
 #include "common/macros.h"
 
@@ -14,6 +14,25 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 // Minimum exact-score improvement to accept a merge; guards against
 // floating-point churn producing endless no-op expansions.
 constexpr double kImproveEps = 1e-12;
+
+// The accepted merge of `cur` with `other` as `box`, exactly scored
+// `influence`. Approximate metadata carries forward so later estimates stay
+// possible: counts add, the higher-influence representative wins.
+ScoredPredicate AcceptMerge(const ScoredPredicate& cur,
+                            const ScoredPredicate& other, Predicate box,
+                            double influence) {
+  ScoredPredicate merged;
+  merged.pred = std::move(box);
+  merged.influence = influence;
+  merged.info = cur.info;
+  if (cur.info.outlier_counts.size() == other.info.outlier_counts.size()) {
+    for (size_t g = 0; g < merged.info.outlier_counts.size(); ++g) {
+      merged.info.outlier_counts[g] += other.info.outlier_counts[g];
+    }
+  }
+  merged.internal_score = std::max(cur.internal_score, other.internal_score);
+  return merged;
+}
 }  // namespace
 
 Merger::Merger(const Scorer& scorer, DomainMap domains, MergerOptions options)
@@ -48,77 +67,154 @@ bool Merger::CanEstimate(const ScoredPredicate& a,
          b.info.outlier_counts.size() == scorer_.problem().outliers.size();
 }
 
-const AggState& Merger::RepresentativeState(RowId row) const {
-  auto it = rep_state_cache_.find(row);
-  if (it != rep_state_cache_.end()) return it->second;
-  const double rep_value = scorer_.agg_column().GetDouble(row);
-  AggState state = scorer_.aggregate().State({rep_value}).ValueOrDie();
-  return rep_state_cache_.emplace(row, std::move(state)).first->second;
-}
-
-void Merger::PrewarmRepresentativeStates(
-    const std::vector<ScoredPredicate>& candidates) const {
-  if (!options_.use_cached_tuple_estimate || !scorer_.incremental()) return;
-  for (const ScoredPredicate& sp : candidates) {
-    if (sp.info.has_representative) RepresentativeState(sp.info.representative);
+Merger::EstimateIndex Merger::IndexPartitions(
+    const std::vector<ScoredPredicate>& all) const {
+  EstimateIndex index;
+  if (!options_.use_cached_tuple_estimate || !scorer_.incremental()) {
+    return index;
   }
+  std::vector<std::string>& names = index.slot_names_;
+  for (const auto& [attr, domain] : domains_) names.push_back(attr);
+  for (const ScoredPredicate& q : all) {
+    for (const RangeClause& r : q.pred.ranges()) names.push_back(r.attr);
+    for (const SetClause& s : q.pred.sets()) names.push_back(s.attr);
+  }
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  for (const std::string& name : names) {
+    auto it = domains_.find(name);
+    index.slot_domains_.push_back(
+        it == domains_.end() ? std::nullopt
+                             : std::optional<AttrDomain>(it->second));
+  }
+  auto slot_of = [&names](const std::string& attr) {
+    return static_cast<size_t>(
+        std::lower_bound(names.begin(), names.end(), attr) - names.begin());
+  };
+
+  const size_t num_groups = scorer_.problem().outliers.size();
+  for (const ScoredPredicate& q : all) {
+    if (!q.info.has_representative ||
+        q.info.outlier_counts.size() != num_groups) {
+      continue;
+    }
+    EstimateIndex::Partition p;
+    p.ranges_begin = index.ranges_.size();
+    for (const RangeClause& r : q.pred.ranges()) {
+      index.ranges_.push_back({slot_of(r.attr), r.lo, r.hi});
+    }
+    p.ranges_end = index.ranges_.size();
+    p.sets_begin = index.sets_.size();
+    for (const SetClause& s : q.pred.sets()) {
+      index.sets_.push_back({slot_of(s.attr), &s});
+    }
+    p.sets_end = index.sets_.size();
+    p.outlier_counts = &q.info.outlier_counts;
+    const double rep_value =
+        scorer_.agg_column().GetDouble(q.info.representative);
+    p.rep_state = scorer_.aggregate().State({rep_value}).ValueOrDie();
+    index.partitions_.push_back(std::move(p));
+  }
+  return index;
 }
 
-double Merger::OverlapFraction(const Predicate& q, const Predicate& box) const {
+Merger::EstimateIndex::Box Merger::EstimateIndex::Resolve(
+    const Predicate& box) const {
+  auto find_slot = [this](const std::string& attr) -> std::optional<size_t> {
+    auto it = std::lower_bound(slot_names_.begin(), slot_names_.end(), attr);
+    if (it == slot_names_.end() || *it != attr) return std::nullopt;
+    return static_cast<size_t>(it - slot_names_.begin());
+  };
+  Box out;
+  for (const RangeClause& rb : box.ranges()) {
+    const std::optional<size_t> slot = find_slot(rb.attr);
+    if (!slot.has_value()) continue;
+    BoxRange r{*slot, &rb, false, 1.0};
+    const std::optional<AttrDomain>& domain = slot_domains_[*slot];
+    if (domain.has_value()) {
+      double width = domain->hi - domain->lo;
+      if (width > 0.0) {
+        double lo = std::max(rb.lo, domain->lo);
+        double hi = std::min(rb.hi, domain->hi);
+        r.misses = hi <= lo;
+        r.share = (hi - lo) / width;
+      }
+    }
+    out.ranges.push_back(r);
+  }
+  for (const SetClause& sb : box.sets()) {
+    const std::optional<size_t> slot = find_slot(sb.attr);
+    if (!slot.has_value()) continue;
+    BoxSet s{*slot, &sb, 1.0};
+    const std::optional<AttrDomain>& domain = slot_domains_[*slot];
+    if (domain.has_value() && domain->cardinality > 0) {
+      s.share = static_cast<double>(sb.codes.size()) /
+                static_cast<double>(domain->cardinality);
+    }
+    out.sets.push_back(s);
+  }
+  return out;
+}
+
+double Merger::EstimateIndex::OverlapFraction(const Partition& q,
+                                              const Box& box) const {
   // Clause-wise volume of q ∩ box divided by volume of q; attributes
-  // unconstrained in q contribute the box clause's own domain share.
+  // unconstrained in q contribute the box clause's own domain share (a
+  // share of 1 multiplies exactly). The four passes multiply in a fixed
+  // order — q's ranges, the box's other ranges, q's sets, the box's other
+  // sets — each in slot order. Both sides ascend by slot, so every pass is
+  // a merge walk.
   double frac = 1.0;
-  for (const RangeClause& rq : q.ranges()) {
-    const RangeClause* rb = box.FindRange(rq.attr);
-    if (rb == nullptr) continue;  // box spans q fully on this attribute
+  auto rb = box.ranges.begin();
+  for (size_t i = q.ranges_begin; i < q.ranges_end; ++i) {
+    const RangeSlot& rq = ranges_[i];
+    while (rb != box.ranges.end() && rb->slot < rq.slot) ++rb;
+    // No box clause: the box spans q fully on this attribute.
+    if (rb == box.ranges.end() || rb->slot != rq.slot) continue;
     double width = rq.hi - rq.lo;
     if (width <= 0.0) {
       // Degenerate point clause: in or out.
-      if (!rb->Contains(rq.lo)) return 0.0;
+      if (!rb->clause->Contains(rq.lo)) return 0.0;
       continue;
     }
-    double lo = std::max(rq.lo, rb->lo);
-    double hi = std::min(rq.hi, rb->hi);
+    double lo = std::max(rq.lo, rb->clause->lo);
+    double hi = std::min(rq.hi, rb->clause->hi);
     if (hi <= lo) return 0.0;
     frac *= (hi - lo) / width;
   }
-  for (const RangeClause& rb : box.ranges()) {
-    if (q.FindRange(rb.attr) != nullptr) continue;
-    auto it = domains_.find(rb.attr);
-    if (it == domains_.end()) continue;
-    double width = it->second.hi - it->second.lo;
-    if (width <= 0.0) continue;
-    double lo = std::max(rb.lo, it->second.lo);
-    double hi = std::min(rb.hi, it->second.hi);
-    if (hi <= lo) return 0.0;
-    frac *= (hi - lo) / width;
+  size_t i = q.ranges_begin;
+  for (const BoxRange& r : box.ranges) {
+    while (i < q.ranges_end && ranges_[i].slot < r.slot) ++i;
+    if (i < q.ranges_end && ranges_[i].slot == r.slot) continue;
+    if (r.misses) return 0.0;
+    frac *= r.share;
   }
-  for (const SetClause& sq : q.sets()) {
-    const SetClause* sb = box.FindSet(sq.attr);
-    if (sb == nullptr) continue;
+  auto sb = box.sets.begin();
+  for (size_t j = q.sets_begin; j < q.sets_end; ++j) {
+    const SetSlot& sq = sets_[j];
+    while (sb != box.sets.end() && sb->slot < sq.slot) ++sb;
+    if (sb == box.sets.end() || sb->slot != sq.slot) continue;
     size_t overlap = 0;
-    for (int32_t code : sq.codes) {
-      if (sb->Contains(code)) ++overlap;
+    for (int32_t code : sq.clause->codes) {
+      if (sb->clause->Contains(code)) ++overlap;
     }
     if (overlap == 0) return 0.0;
     frac *= static_cast<double>(overlap) /
-            static_cast<double>(sq.codes.size());
+            static_cast<double>(sq.clause->codes.size());
   }
-  for (const SetClause& sb : box.sets()) {
-    if (q.FindSet(sb.attr) != nullptr) continue;
-    auto it = domains_.find(sb.attr);
-    if (it == domains_.end() || it->second.cardinality <= 0) continue;
-    frac *= static_cast<double>(sb.codes.size()) /
-            static_cast<double>(it->second.cardinality);
+  size_t j = q.sets_begin;
+  for (const BoxSet& s : box.sets) {
+    while (j < q.sets_end && sets_[j].slot < s.slot) ++j;
+    if (j < q.sets_end && sets_[j].slot == s.slot) continue;
+    frac *= s.share;
   }
   return std::clamp(frac, 0.0, 1.0);
 }
 
-double Merger::EstimateMergedInfluence(
-    const ScoredPredicate& a, const ScoredPredicate& b,
-    const std::vector<ScoredPredicate>& all) const {
+double Merger::EstimateMergedInfluence(const Predicate& box_pred,
+                                       const EstimateIndex& index) const {
   ++stats_.estimated_scores;
-  const Predicate box = Predicate::BoundingBox(a.pred, b.pred);
+  const EstimateIndex::Box box = index.Resolve(box_pred);
   const ProblemSpec& problem = scorer_.problem();
   const Aggregate& agg = scorer_.aggregate();
   const size_t num_groups = problem.outliers.size();
@@ -131,16 +227,12 @@ double Merger::EstimateMergedInfluence(
   // regions themselves overlap.
   std::vector<double> removed_counts(num_groups, 0.0);
   std::vector<AggState> removed_states(num_groups);
-  for (const ScoredPredicate& q : all) {
-    if (!q.info.has_representative ||
-        q.info.outlier_counts.size() != num_groups) {
-      continue;
-    }
-    double frac = OverlapFraction(q.pred, box);
+  for (const EstimateIndex::Partition& q : index.partitions_) {
+    double frac = index.OverlapFraction(q, box);
     if (frac <= 0.0) continue;
-    const AggState& rep_state = RepresentativeState(q.info.representative);
+    const AggState& rep_state = q.rep_state;
     for (size_t g = 0; g < num_groups; ++g) {
-      double contrib = frac * static_cast<double>(q.info.outlier_counts[g]);
+      double contrib = frac * static_cast<double>((*q.outlier_counts)[g]);
       if (contrib <= 0.0) continue;
       removed_counts[g] += contrib;
       if (removed_states[g].empty()) {
@@ -174,17 +266,7 @@ Result<std::vector<ScoredPredicate>> Merger::Run(
     std::vector<ScoredPredicate> candidates) const {
   if (candidates.empty()) return candidates;
 
-  // Dedupe by canonical form.
-  {
-    std::set<std::string> seen;
-    std::vector<ScoredPredicate> unique;
-    for (ScoredPredicate& sp : candidates) {
-      if (seen.insert(sp.pred.ToString()).second) {
-        unique.push_back(std::move(sp));
-      }
-    }
-    candidates = std::move(unique);
-  }
+  candidates = UniquePredicates(std::move(candidates));
   // Exact-score every candidate: these Scorer::Influence calls dominate the
   // Merger's cost, and each is independent. Statuses land in per-index slots
   // and the first error (in candidate order) wins deterministically.
@@ -228,10 +310,18 @@ Result<std::vector<ScoredPredicate>> Merger::Run(
   }
   std::sort(candidates.begin(), candidates.end(), ByInfluenceDesc);
 
-  // All representative states the expansion loop can touch get cached now,
-  // so the parallel estimate pass below reads the memo without mutating it
-  // (merged seeds only ever inherit representatives from `candidates`).
-  PrewarmRepresentativeStates(candidates);
+  // Exact influence of every predicate scored so far. Within one Run the
+  // problem (and so c and lambda) is fixed, so a predicate's score never
+  // changes and a repeat is served from here — the same double a rescore
+  // would produce, so the expansion trajectory is unchanged. Different
+  // seeds keep reaching the same large boxes, which makes repeats common.
+  // Only the serial accept loop below reads or writes it.
+  std::unordered_map<Predicate, double> memo;
+  for (const ScoredPredicate& sp : candidates) {
+    memo.emplace(sp.pred, sp.influence);
+  }
+  // Read-only from here on, so the parallel estimate pass shares it.
+  const EstimateIndex index = IndexPartitions(candidates);
 
   size_t num_seeds = candidates.size();
   if (options_.top_quartile_only && candidates.size() >= 4) {
@@ -261,12 +351,12 @@ Result<std::vector<ScoredPredicate>> Merger::Run(
       }
       if (grow.empty()) break;
       // Estimating a merge is the expansion step's hot scoring loop; each
-      // candidate is independent and the representative-state memo was
-      // prewarmed, so this runs read-only in parallel.
+      // candidate is independent and the index is read-only, so this runs
+      // in parallel.
       ParallelForOver(pool, 0, grow.size(), [&](size_t i) {
         if (CanEstimate(cur, *grow[i].other)) {
-          grow[i].estimate =
-              EstimateMergedInfluence(cur, *grow[i].other, candidates);
+          grow[i].estimate = EstimateMergedInfluence(
+              Predicate::BoundingBox(cur.pred, grow[i].other->pred), index);
         } else {
           // Fall back to the neighbour's own score.
           grow[i].estimate = grow[i].other->influence;
@@ -278,115 +368,77 @@ Result<std::vector<ScoredPredicate>> Merger::Run(
                 });
 
       // Accept the first candidate whose *exact* merged influence improves.
+      // With candidate batching, exact merged influences are computed a
+      // chunk at a time through the batched filter plane (bounding boxes of
+      // one seed against its neighbours usually differ in a single clause),
+      // but the accept decision still takes the FIRST improving candidate
+      // in estimate order — the accepted merge, and hence the whole
+      // expansion trajectory, is identical to scoring one candidate at a
+      // time, which is what chunks of one do without batching. Chunk sizing
+      // follows the (already computed, descending) estimates: while the
+      // estimate itself predicts an improvement the candidate is scored
+      // alone — an accept there would throw a speculative batch away — and
+      // once estimates drop below the accept threshold the remaining tail
+      // is batched at full width. Only memo misses reach the scorer.
+      const size_t max_chunk = scorer_.candidate_batching_enabled() ? 8 : 1;
       bool accepted = false;
-      if (scorer_.candidate_batching_enabled()) {
-        // Exact merged influences are computed a chunk at a time through
-        // the batched filter plane (bounding boxes of one seed against its
-        // neighbours usually differ in a single clause), but the accept
-        // decision still takes the FIRST improving candidate in estimate
-        // order — the accepted merge, and hence the whole expansion
-        // trajectory, is identical to the sequential path below. Chunk
-        // sizing follows the (already computed, descending) estimates:
-        // while the estimate itself predicts an improvement the candidate
-        // is scored alone — an accept there would throw a speculative
-        // batch away — and once estimates drop below the accept threshold
-        // the remaining tail, which the sequential path would grind
-        // through one scan at a time, is batched at full width.
-        constexpr size_t kMaxChunk = 8;
-        for (size_t start = 0; start < grow.size() && !accepted;) {
-          const size_t lim =
-              grow[start].estimate > cur.influence + kImproveEps
-                  ? start + 1
-                  : std::min(start + kMaxChunk, grow.size());
-          std::vector<size_t> idx;
-          std::vector<Predicate> merged_preds;
-          for (size_t i = start; i < lim; ++i) {
-            Predicate box =
-                Predicate::BoundingBox(cur.pred, grow[i].other->pred);
-            if (box == cur.pred) continue;
-            idx.push_back(i);
-            merged_preds.push_back(std::move(box));
+      for (size_t start = 0; start < grow.size() && !accepted;) {
+        const size_t lim = grow[start].estimate > cur.influence + kImproveEps
+                               ? start + 1
+                               : std::min(start + max_chunk, grow.size());
+        std::vector<size_t> idx;
+        std::vector<Predicate> boxes;
+        std::vector<const double*> box_scores;  // memo entries
+        std::vector<Predicate> misses;
+        std::vector<double*> miss_scores;
+        for (size_t i = start; i < lim; ++i) {
+          Predicate box = Predicate::BoundingBox(cur.pred, grow[i].other->pred);
+          if (box == cur.pred) continue;
+          // Element pointers stay valid across rehashes.
+          auto [it, inserted] = memo.try_emplace(box, kNegInf);
+          if (inserted) {
+            misses.push_back(box);
+            miss_scores.push_back(&it->second);
+          } else {
+            ++stats_.memo_hits;
           }
-          if (merged_preds.empty()) {
-            start = lim;
-            continue;
-          }
+          idx.push_back(i);
+          boxes.push_back(std::move(box));
+          box_scores.push_back(&it->second);
+        }
+        if (!misses.empty()) {
           std::vector<double> scores;
-          if (merged_preds.size() == 1) {
+          if (misses.size() == 1) {
             // Likely-accept head: score inline, skipping the batch
             // machinery a single candidate cannot use.
             SCORPION_ASSIGN_OR_RETURN(double score,
-                                      scorer_.Influence(merged_preds[0]));
+                                      scorer_.Influence(misses[0]));
             scores.push_back(score);
           } else {
-            SCORPION_ASSIGN_OR_RETURN(scores,
-                                      scorer_.InfluenceAll(merged_preds));
+            SCORPION_ASSIGN_OR_RETURN(scores, scorer_.InfluenceAll(misses));
           }
-          stats_.exact_scores += merged_preds.size();
-          for (size_t j = 0; j < idx.size(); ++j) {
-            if (!(scores[j] > cur.influence + kImproveEps)) continue;
-            const Candidate& cand = grow[idx[j]];
-            // Carry approximate metadata forward so later estimates stay
-            // possible: counts add, the higher-influence representative wins.
-            ScoredPredicate merged;
-            merged.pred = std::move(merged_preds[j]);
-            merged.influence = scores[j];
-            merged.info = cur.info;
-            if (cur.info.outlier_counts.size() ==
-                cand.other->info.outlier_counts.size()) {
-              for (size_t g = 0; g < merged.info.outlier_counts.size(); ++g) {
-                merged.info.outlier_counts[g] +=
-                    cand.other->info.outlier_counts[g];
-              }
-            }
-            merged.internal_score =
-                std::max(cur.internal_score, cand.other->internal_score);
-            cur = std::move(merged);
-            accepted = true;
-            ++stats_.merges_accepted;
-            break;
-          }
-          start = lim;
-        }
-      } else {
-        for (const Candidate& cand : grow) {
-          ScoredPredicate merged;
-          merged.pred = Predicate::BoundingBox(cur.pred, cand.other->pred);
-          if (merged.pred == cur.pred) continue;
-          SCORPION_RETURN_NOT_OK(EnsureScored(&merged));
-          if (merged.influence > cur.influence + kImproveEps) {
-            // Carry approximate metadata forward so later estimates stay
-            // possible: counts add, the higher-influence representative wins.
-            merged.info = cur.info;
-            if (cur.info.outlier_counts.size() ==
-                cand.other->info.outlier_counts.size()) {
-              for (size_t g = 0; g < merged.info.outlier_counts.size(); ++g) {
-                merged.info.outlier_counts[g] +=
-                    cand.other->info.outlier_counts[g];
-              }
-            }
-            merged.internal_score =
-                std::max(cur.internal_score, cand.other->internal_score);
-            cur = std::move(merged);
-            accepted = true;
-            ++stats_.merges_accepted;
-            break;
+          stats_.exact_scores += misses.size();
+          for (size_t j = 0; j < misses.size(); ++j) {
+            *miss_scores[j] = scores[j];
           }
         }
+        for (size_t j = 0; j < idx.size(); ++j) {
+          const double score = *box_scores[j];
+          if (!(score > cur.influence + kImproveEps)) continue;
+          cur = AcceptMerge(cur, *grow[idx[j]].other, std::move(boxes[j]),
+                            score);
+          accepted = true;
+          ++stats_.merges_accepted;
+          break;
+        }
+        start = lim;
       }
       if (!accepted) break;
     }
     results.push_back(std::move(cur));
   }
 
-  // Final dedupe + sort.
-  std::set<std::string> seen;
-  std::vector<ScoredPredicate> unique;
-  for (ScoredPredicate& sp : results) {
-    if (seen.insert(sp.pred.ToString()).second) {
-      unique.push_back(std::move(sp));
-    }
-  }
+  std::vector<ScoredPredicate> unique = UniquePredicates(std::move(results));
   std::sort(unique.begin(), unique.end(), ByInfluenceDesc);
   return unique;
 }

@@ -4,10 +4,14 @@
 //  2. for incrementally removable aggregates, candidate merges are ranked by
 //     a cached-tuple volume-overlap approximation instead of exact scoring;
 //     accepted merges are re-scored exactly before being kept.
+// Within one Run every distinct predicate is exact-scored at most once: an
+// influence memo keyed by exact predicate equality serves repeats.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/atomic_counter.h"
@@ -25,17 +29,87 @@ struct MergerStats {
   RelaxedCounter merges_accepted;
   RelaxedCounter match_cache_scores;  // exact scores served from cached match
                                       // Selections (no bind/filter pass)
+  RelaxedCounter memo_hits;  // merged boxes whose exact score an earlier
+                             // score in the same Run already supplied
 };
 
 /// \brief Greedy predicate merger.
 class Merger {
  public:
+  /// \brief The partitions the cached-tuple estimate apportions, resolved
+  /// once so the per-partition loop does no string or map lookups.
+  ///
+  /// Attribute slots number every attribute the partitions constrain or the
+  /// domain map knows, in sorted-name order — the order Predicate stores its
+  /// clauses in — so each partition's clause list ascends by slot. Holds
+  /// pointers into the `all` vector it was built from, which must outlive
+  /// it unchanged.
+  class EstimateIndex {
+   private:
+    friend class Merger;
+
+    struct RangeSlot {
+      size_t slot;
+      double lo;
+      double hi;
+    };
+    struct SetSlot {
+      size_t slot;
+      const SetClause* clause;
+    };
+    /// A partition usable by the estimate (has a representative and one
+    /// count per outlier group), in `all` order.
+    struct Partition {
+      size_t ranges_begin, ranges_end;  // into ranges_
+      size_t sets_begin, sets_end;      // into sets_
+      const std::vector<uint32_t>* outlier_counts;
+      AggState rep_state;  // state(representative value)
+    };
+    /// A box clause with the factor it contributes on an attribute a
+    /// partition leaves unconstrained: its share of the attribute's domain
+    /// (1 without a usable domain), or zero overlap outright (`misses`: the
+    /// clause lies outside the domain).
+    struct BoxRange {
+      size_t slot;
+      const RangeClause* clause;
+      bool misses;
+      double share;
+    };
+    struct BoxSet {
+      size_t slot;
+      const SetClause* clause;
+      double share;
+    };
+    /// A bounding box's clauses on known slots, with their domain shares.
+    struct Box {
+      std::vector<BoxRange> ranges;
+      std::vector<BoxSet> sets;
+    };
+
+    /// Resolves `box` (which must outlive the result). Clauses on
+    /// attributes outside the slot table meet no partition clause and no
+    /// domain, so they drop out.
+    Box Resolve(const Predicate& box) const;
+
+    /// Volume of (q ∩ box) / Volume(q), computed clause-wise without
+    /// materializing the intersection predicate.
+    double OverlapFraction(const Partition& q, const Box& box) const;
+
+    std::vector<std::string> slot_names_;  // sorted
+    std::vector<std::optional<AttrDomain>> slot_domains_;
+    std::vector<RangeSlot> ranges_;
+    std::vector<SetSlot> sets_;
+    std::vector<Partition> partitions_;
+  };
+
   /// `scorer` must outlive the Merger. `domains` provides attribute extents
   /// for volume computations (cached-tuple estimate).
   Merger(const Scorer& scorer, DomainMap domains, MergerOptions options);
 
   /// Expands `candidates` and returns the union of inputs and accepted
   /// merges, deduplicated, exactly scored, sorted by descending influence.
+  /// Each distinct predicate is exact-scored at most once per call:
+  /// candidates arriving with a finite influence are taken at that score.
   Result<std::vector<ScoredPredicate>> Run(
       std::vector<ScoredPredicate> candidates) const;
 
@@ -44,15 +118,19 @@ class Merger {
   /// Adjacent predicates are merge candidates.
   static bool Adjacent(const Predicate& a, const Predicate& b);
 
-  /// Section 6.3 approximation: influence of the bounding box of `a` and
-  /// `b`, estimated by apportioning each input partition's cached tuple by
-  /// the volume fraction of the partition inside the box. `all` supplies the
-  /// surrounding partitions (the p3's of Figure 7). Requires an
-  /// incrementally removable aggregate and PartitionInfo on the inputs;
-  /// callers must check CanEstimate() first.
-  double EstimateMergedInfluence(const ScoredPredicate& a,
-                                 const ScoredPredicate& b,
-                                 const std::vector<ScoredPredicate>& all) const;
+  /// Indexes the partitions `all` for EstimateMergedInfluence. Empty when
+  /// the estimate is disabled or the aggregate is not incrementally
+  /// removable.
+  EstimateIndex IndexPartitions(const std::vector<ScoredPredicate>& all) const;
+
+  /// Section 6.3 approximation: influence of `box`, the bounding box of two
+  /// partitions CanEstimate() accepts, estimated by apportioning each
+  /// indexed partition's cached tuple by the volume fraction of the
+  /// partition inside the box. The index supplies the surrounding
+  /// partitions (the p3's of Figure 7). Read-only, so safe to call in
+  /// parallel.
+  double EstimateMergedInfluence(const Predicate& box,
+                                 const EstimateIndex& index) const;
 
   /// True if the cached-tuple estimate is usable for these inputs.
   bool CanEstimate(const ScoredPredicate& a, const ScoredPredicate& b) const;
@@ -63,25 +141,10 @@ class Merger {
   /// Ensures `sp.influence` holds the exact score.
   Status EnsureScored(ScoredPredicate* sp) const;
 
-  /// state(rep value) memoized per representative row. NOT thread-safe on a
-  /// cache miss: parallel sections must be preceded by
-  /// PrewarmRepresentativeStates() so every lookup inside them hits.
-  const AggState& RepresentativeState(RowId row) const;
-
-  /// Fills rep_state_cache_ for every candidate's representative so that
-  /// EstimateMergedInfluence can run read-only (and thus in parallel).
-  void PrewarmRepresentativeStates(
-      const std::vector<ScoredPredicate>& candidates) const;
-
-  /// Volume of (q ∩ box) / Volume(q), computed clause-wise without
-  /// materializing the intersection predicate.
-  double OverlapFraction(const Predicate& q, const Predicate& box) const;
-
   const Scorer& scorer_;
   DomainMap domains_;
   MergerOptions options_;
   mutable MergerStats stats_;
-  mutable std::unordered_map<RowId, AggState> rep_state_cache_;
 };
 
 }  // namespace scorpion

@@ -3,6 +3,8 @@
 
 #include <limits>
 #include <memory>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "predicate/predicate.h"
@@ -53,6 +55,18 @@ struct ScoredPredicate {
 inline bool ByInfluenceDesc(const ScoredPredicate& a,
                             const ScoredPredicate& b) {
   return a.influence > b.influence;
+}
+
+/// `in` without the entries whose predicate equals an earlier entry's
+/// (exact Predicate equality), order kept.
+inline std::vector<ScoredPredicate> UniquePredicates(
+    std::vector<ScoredPredicate> in) {
+  std::unordered_set<Predicate> seen;
+  std::vector<ScoredPredicate> unique;
+  for (ScoredPredicate& sp : in) {
+    if (seen.insert(sp.pred).second) unique.push_back(std::move(sp));
+  }
+  return unique;
 }
 
 }  // namespace scorpion

@@ -523,7 +523,7 @@ Scorer::BuildMatchCacheExtended(const Predicate& pred,
       match_source_ != nullptr) {
     return BuildMatchCache(pred);
   }
-  auto seed_it = seed->matches_by_pred.find(pred.ToString(nullptr));
+  auto seed_it = seed->matches_by_pred.find(pred);
   if (seed_it == seed->matches_by_pred.end() || seed_it->second == nullptr) {
     return BuildMatchCache(pred);
   }

@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "aggregates/aggregate.h"
@@ -121,9 +122,9 @@ struct ScorerStats {
 /// match Selections by filtering only the appended suffix.
 struct SessionDeltaSeed {
   size_t old_num_rows = 0;
-  /// Predicate canonical form (ToString with raw codes) → the match cache
-  /// built for it at the old generation.
-  std::map<std::string, std::shared_ptr<const PredicateMatchCache>>
+  /// Predicate (exact equality) → the match cache built for it at the old
+  /// generation.
+  std::unordered_map<Predicate, std::shared_ptr<const PredicateMatchCache>>
       matches_by_pred;
   /// Group key_string → result index at the old generation.
   std::map<std::string, int> old_index_by_key;

@@ -123,7 +123,7 @@ bool ExplainSession::BeginDeltaRefresh(uint64_t new_generation,
     seed->old_num_rows = key_.num_rows;
     for (const ScoredPredicate& sp : partitions_) {
       if (sp.matches != nullptr) {
-        seed->matches_by_pred[sp.pred.ToString(nullptr)] = sp.matches;
+        seed->matches_by_pred[sp.pred] = sp.matches;
       }
     }
     for (size_t i = 0; i < old_result.results.size(); ++i) {

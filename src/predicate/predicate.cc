@@ -6,6 +6,7 @@
 #include <memory>
 #include <sstream>
 
+#include "common/fingerprint.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -799,6 +800,23 @@ double Predicate::Volume(const DomainMap& domains) const {
            static_cast<double>(it->second.cardinality);
   }
   return vol;
+}
+
+size_t Predicate::Hash() const {
+  // operator== compares doubles by value, so both zeros hash alike.
+  auto canonical = [](double v) { return v == 0.0 ? 0.0 : v; };
+  Fingerprinter fp;
+  fp.U64(ranges_.size());
+  for (const RangeClause& r : ranges_) {
+    fp.Str(r.attr).Double(canonical(r.lo)).Double(canonical(r.hi));
+    fp.U64(r.hi_inclusive ? 1 : 0);
+  }
+  fp.U64(sets_.size());
+  for (const SetClause& s : sets_) {
+    fp.Str(s.attr).U64(s.codes.size());
+    for (int32_t code : s.codes) fp.U64(static_cast<uint32_t>(code));
+  }
+  return static_cast<size_t>(fp.Finish().lo);
 }
 
 std::string Predicate::ToString(const Table* table) const {

@@ -3,6 +3,8 @@
 // clause per attribute (Section 3.1 of the paper).
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -146,6 +148,12 @@ class Predicate {
   std::string ToString(const Table* table = nullptr) const;
 
   bool operator==(const Predicate& other) const = default;
+
+  /// Exact hash consistent with operator==: every compared field (clause
+  /// attributes, bounds, inclusivity, set codes), in the stored
+  /// attribute-sorted order, with -0.0 hashed as +0.0. A predicate with a
+  /// NaN bound is unequal even to itself, so it never hits a hashed lookup.
+  size_t Hash() const;
 
  private:
   std::vector<RangeClause> ranges_;  // sorted by attr
@@ -306,3 +314,10 @@ class BoundPredicate {
 };
 
 }  // namespace scorpion
+
+template <>
+struct std::hash<scorpion::Predicate> {
+  size_t operator()(const scorpion::Predicate& pred) const {
+    return pred.Hash();
+  }
+};

@@ -1,11 +1,19 @@
 // Merger behaviour: adjacency, expansion semantics, top-quartile and
-// cached-tuple optimizations.
+// cached-tuple optimizations, the influence memo (no predicate scored twice
+// in one Run) and the indexed estimate pass against its name-based oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <mutex>
+#include <unordered_set>
 
+#include "common/random.h"
+#include "common/thread_pool.h"
+#include "core/dt.h"
 #include "core/merger.h"
 #include "eval/experiment.h"
+#include "oracle/merger_estimate.h"
 #include "workload/synth.h"
 
 namespace scorpion {
@@ -171,8 +179,9 @@ TEST_F(MergerOnSynth, CachedTupleEstimateTracksExactScore) {
   MergerOptions opts;
   Merger merger(*scorer_, domains_, opts);
   ASSERT_TRUE(merger.CanEstimate(left, right));
-  double estimate = merger.EstimateMergedInfluence(left, right, all);
   Predicate box = Predicate::BoundingBox(left.pred, right.pred);
+  double estimate =
+      merger.EstimateMergedInfluence(box, merger.IndexPartitions(all));
   double exact = scorer_->InfluenceOutlierOnly(box).ValueOrDie();
   // The estimate replaces every tuple with the cached representative, so it
   // is approximate — but it must be the right sign and order of magnitude.
@@ -207,6 +216,282 @@ TEST_F(MergerOnSynth, TopQuartileExpandsFewerSeeds) {
             merge_all.stats().exact_scores);
   // And the top result should still be found (it lives in the top quartile).
   EXPECT_NEAR(r1->front().influence, r2->front().influence, 1e-9);
+}
+
+TEST_F(MergerOnSynth, DistinctPredicatesThatPrintAlikeBothSurvive) {
+  // Both bounds print as "A1 in [1, 2)"; deduplication must key on the
+  // predicate itself, not on its rounded string.
+  std::vector<ScoredPredicate> parts(2);
+  parts[0].pred = Range1D("A1", 1.0000001, 2.0);
+  parts[1].pred = Range1D("A1", 1.0000002, 2.0);
+  ASSERT_EQ(parts[0].pred.ToString(), parts[1].pred.ToString());
+  MergerOptions opts;
+  opts.top_quartile_only = false;
+  Merger merger(*scorer_, domains_, opts);
+  auto merged = merger.Run(parts);
+  ASSERT_TRUE(merged.ok());
+  for (const ScoredPredicate& part : parts) {
+    size_t copies = 0;
+    for (const ScoredPredicate& sp : *merged) copies += sp.pred == part.pred;
+    EXPECT_EQ(copies, 1u) << part.pred.ToString();
+  }
+}
+
+/// Filters locally, exactly as the scorer would, and records every
+/// predicate it is asked for. Thread-safe: scoring threads call Matches().
+class RecordingMatchSource : public PredicateMatchSource {
+ public:
+  RecordingMatchSource(const Table& table, const QueryResult& qr,
+                       const ProblemSpec& problem)
+      : table_(table), qr_(qr), problem_(problem) {}
+
+  Result<PredicateMatchCache> Matches(const Predicate& pred) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      requested_.push_back(pred);
+    }
+    SCORPION_ASSIGN_OR_RETURN(BoundPredicate bound, pred.Bind(table_));
+    PredicateMatchCache cache(qr_.results.size());
+    for (const std::vector<int>* groups :
+         {&problem_.outliers, &problem_.holdouts}) {
+      for (int idx : *groups) {
+        SCORPION_ASSIGN_OR_RETURN(cache[idx],
+                                  bound.Filter(qr_.results[idx].input_group));
+        cache[idx].rows();  // vector form, like the scorer's own filter
+      }
+    }
+    return cache;
+  }
+
+  std::vector<Predicate> requested() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return requested_;
+  }
+
+ private:
+  const Table& table_;
+  const QueryResult& qr_;
+  const ProblemSpec& problem_;
+  mutable std::mutex mu_;
+  std::vector<Predicate> requested_;
+};
+
+class MergerMemo : public MergerOnSynth {
+ protected:
+  /// Runs one merge of `inputs` under every batching/thread configuration
+  /// with a recording source installed, and checks that no predicate is
+  /// scored twice, that every exact score is one fetch, that repeats were
+  /// served from the memo, and that the output is bit-identical across
+  /// configurations.
+  void ExpectEachPredicateScoredOnce(const std::vector<ScoredPredicate>& inputs,
+                                     const MergerOptions& opts) {
+    ThreadPool pool(4);
+    std::optional<std::vector<ScoredPredicate>> reference;
+    uint64_t examined[2] = {0, 0};
+    for (bool batching : {false, true}) {
+      for (size_t threads : {1, 4}) {
+        SCOPED_TRACE(std::string(batching ? "batched" : "sequential") +
+                     ", threads=" + std::to_string(threads));
+        scorer_->set_enable_candidate_batching(batching);
+        scorer_->set_thread_pool(threads > 1 ? &pool : nullptr);
+        RecordingMatchSource source(dataset_->table, *qr_, *problem_);
+        scorer_->set_match_source(&source);
+        Merger merger(*scorer_, domains_, opts);
+        auto merged = merger.Run(inputs);
+        scorer_->set_match_source(nullptr);
+        scorer_->set_thread_pool(nullptr);
+        scorer_->set_enable_candidate_batching(true);
+        ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+
+        const std::vector<Predicate> requested = source.requested();
+        const std::unordered_set<Predicate> distinct(requested.begin(),
+                                                     requested.end());
+        EXPECT_EQ(distinct.size(), requested.size())
+            << "a predicate was exact-scored twice";
+        const MergerStats& stats = merger.stats();
+        EXPECT_EQ(requested.size(), stats.exact_scores.load());
+        EXPECT_GT(stats.memo_hits.load(), 0u);
+        EXPECT_GT(stats.merges_accepted.load(), 0u);
+        // The batched path scores whole chunks, so it examines every box
+        // the sequential path does plus speculative chunk tails; every
+        // examined box is either an exact score or a memo hit.
+        const uint64_t boxes = stats.exact_scores + stats.memo_hits;
+        if (threads == 1) {
+          examined[batching] = boxes;
+        } else {
+          EXPECT_EQ(boxes, examined[batching]);
+        }
+
+        if (!reference.has_value()) {
+          reference = *merged;
+          continue;
+        }
+        ASSERT_EQ(merged->size(), reference->size());
+        for (size_t i = 0; i < merged->size(); ++i) {
+          EXPECT_EQ((*merged)[i].pred, (*reference)[i].pred);
+          EXPECT_EQ((*merged)[i].influence, (*reference)[i].influence);
+        }
+      }
+    }
+    EXPECT_GE(examined[1], examined[0]);
+  }
+};
+
+TEST_F(MergerMemo, DTMergeScoresEachPredicateOnce) {
+  DTPartitioner dt(*scorer_, DTOptions{});
+  auto partitions = dt.Run();
+  ASSERT_TRUE(partitions.ok()) << partitions.status().ToString();
+  ASSERT_GT(partitions->size(), 8u);
+  // As the engine does: the Merger rescores every partition at its c.
+  for (ScoredPredicate& sp : *partitions) {
+    sp.influence = -std::numeric_limits<double>::infinity();
+  }
+  ExpectEachPredicateScoredOnce(*partitions, MergerOptions{});
+}
+
+TEST_F(MergerMemo, MCMergeScoresEachPredicateOnce) {
+  // MC hands the Merger already-scored grid units and merges within one
+  // subspace on the exact path (see MCPartitioner's constructor).
+  const AttrDomain& x = domains_.at("A1");
+  const AttrDomain& y = domains_.at("A2");
+  constexpr int kCells = 6;
+  std::vector<ScoredPredicate> units;
+  for (int i = 0; i < kCells; ++i) {
+    for (int j = 0; j < kCells; ++j) {
+      auto edge = [](const AttrDomain& d, int k) {
+        return d.lo + (d.hi - d.lo) * k / kCells;
+      };
+      ScoredPredicate sp;
+      ASSERT_TRUE(sp.pred.AddRange({"A1", edge(x, i), edge(x, i + 1),
+                                    i + 1 == kCells}).ok());
+      ASSERT_TRUE(sp.pred.AddRange({"A2", edge(y, j), edge(y, j + 1),
+                                    j + 1 == kCells}).ok());
+      sp.influence = scorer_->Influence(sp.pred).ValueOrDie();
+      units.push_back(std::move(sp));
+    }
+  }
+  MergerOptions opts;
+  opts.use_cached_tuple_estimate = false;
+  opts.top_quartile_only = false;
+  opts.same_attributes_only = true;
+  ExpectEachPredicateScoredOnce(units, opts);
+}
+
+// --- Indexed estimate pass vs the name-based oracle --------------------------
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Random range+set predicate over a mix of attributes: the SYNTH columns
+/// (ranges reaching past the domain, point ranges), a zero-width domain,
+/// range and set attributes without any domain, a small categorical, a
+/// hashed-cardinality one and one whose domain has no cardinality.
+Predicate RandomPredicate(Rng& rng, bool allow_ghost) {
+  Predicate p;
+  auto range = [&](const std::string& attr, double lo, double span) {
+    const double a = rng.Uniform(lo, lo + span);
+    if (rng.Bernoulli(0.15)) {
+      EXPECT_TRUE(p.AddRange({attr, a, a, true}).ok());  // point range
+      return;
+    }
+    const double b = a + rng.Uniform(0.5, span * 0.6);
+    EXPECT_TRUE(p.AddRange({attr, a, b, rng.Bernoulli(0.5)}).ok());
+  };
+  auto set = [&](const std::string& attr, int cardinality, int max_codes) {
+    SetClause clause{attr, {}};
+    const int64_t n = rng.UniformInt(1, max_codes);
+    for (int64_t i = 0; i < n; ++i) {
+      clause.codes.push_back(
+          static_cast<int32_t>(rng.UniformInt(0, cardinality - 1)));
+    }
+    EXPECT_TRUE(p.AddSet(std::move(clause)).ok());
+  };
+  if (rng.Bernoulli(0.8)) range("A1", -10.0, 110.0);
+  if (rng.Bernoulli(0.8)) range("A2", -10.0, 110.0);
+  if (rng.Bernoulli(0.3)) range("flat", 0.0, 10.0);
+  if (rng.Bernoulli(0.3)) range("loose", 0.0, 10.0);
+  if (rng.Bernoulli(0.4)) set("cat", 6, 4);
+  if (rng.Bernoulli(0.4)) set("wide", 1000, 300);
+  if (rng.Bernoulli(0.2)) set("free", 10, 5);
+  if (rng.Bernoulli(0.2)) set("nocard", 10, 5);
+  if (allow_ghost && rng.Bernoulli(0.5)) range("ghost", 0.0, 10.0);
+  return p;
+}
+
+ScoredPredicate RandomPartition(Rng& rng, size_t num_rows, size_t num_groups,
+                                bool allow_ghost) {
+  ScoredPredicate sp;
+  sp.pred = RandomPredicate(rng, allow_ghost);
+  sp.info.has_representative = rng.Bernoulli(0.9);
+  sp.info.representative =
+      static_cast<RowId>(rng.UniformInt(0, static_cast<int64_t>(num_rows) - 1));
+  const size_t counts = rng.Bernoulli(0.9) ? num_groups : num_groups + 1;
+  for (size_t g = 0; g < counts; ++g) {
+    sp.info.outlier_counts.push_back(
+        rng.Bernoulli(0.2) ? 0u : static_cast<uint32_t>(rng.UniformInt(1, 40)));
+  }
+  return sp;
+}
+
+TEST_F(MergerOnSynth, IndexedEstimateIsBitIdenticalToNameBasedOracle) {
+  DomainMap domains = domains_;
+  domains["flat"] = {DataType::kDouble, 5.0, 5.0, 0};
+  domains["cat"] = {DataType::kCategorical, 0.0, 0.0, 6};
+  domains["wide"] = {DataType::kCategorical, 0.0, 0.0, 1000};
+  domains["nocard"] = {DataType::kCategorical, 0.0, 0.0, 0};
+  // "loose", "free" and "ghost" have no domain; "ghost" only ever appears
+  // on merge inputs, never on an indexed partition.
+  const size_t num_rows = dataset_->table.num_rows();
+  for (const char* aggregate : {"SUM", "AVG"}) {
+    SCOPED_TRACE(aggregate);
+    GroupByQuery query = dataset_->query;
+    query.aggregate = aggregate;
+    auto qr = ExecuteGroupBy(dataset_->table, query);
+    ASSERT_TRUE(qr.ok());
+    auto problem =
+        MakeProblem(*qr, dataset_->outlier_keys, dataset_->holdout_keys, 1.0,
+                    0.5, 0.2, dataset_->attributes);
+    ASSERT_TRUE(problem.ok());
+    auto scorer = Scorer::Make(dataset_->table, *qr, *problem);
+    ASSERT_TRUE(scorer.ok());
+    ASSERT_TRUE(scorer->incremental());
+    const size_t num_groups = problem->outliers.size();
+
+    Rng rng(20260917);
+    std::vector<ScoredPredicate> all;
+    for (int i = 0; i < 120; ++i) {
+      all.push_back(RandomPartition(rng, num_rows, num_groups, false));
+    }
+    Merger merger(*scorer, domains, MergerOptions{});
+    const Merger::EstimateIndex index = merger.IndexPartitions(all);
+
+    size_t compared = 0;
+    size_t informative = 0;
+    for (int t = 0; t < 3000; ++t) {
+      auto pick = [&]() {
+        if (rng.Bernoulli(0.5)) {
+          return all[static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(all.size()) - 1))];
+        }
+        return RandomPartition(rng, num_rows, num_groups, true);
+      };
+      const ScoredPredicate a = pick();
+      const ScoredPredicate b = pick();
+      if (!merger.CanEstimate(a, b)) continue;
+      const double got = merger.EstimateMergedInfluence(
+          Predicate::BoundingBox(a.pred, b.pred), index);
+      const double want =
+          oracle::EstimateMergedInfluence(*scorer, domains, a, b, all);
+      ASSERT_TRUE(SameBits(got, want))
+          << a.pred.ToString() << " + " << b.pred.ToString() << ": " << got
+          << " vs " << want;
+      ++compared;
+      if (std::isfinite(want) && want != 0.0) ++informative;
+    }
+    EXPECT_GT(compared, 1000u);
+    EXPECT_GT(informative, 300u);
+  }
 }
 
 }  // namespace

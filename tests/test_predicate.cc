@@ -1,5 +1,9 @@
-// Predicate construction, evaluation and printing.
+// Predicate construction, evaluation, printing and hashing.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <limits>
+#include <unordered_set>
 
 #include "predicate/predicate.h"
 #include "test_helpers.h"
@@ -174,6 +178,80 @@ TEST(PredicatePrint, EqualPredicatesHaveEqualStrings) {
   ASSERT_TRUE(b.AddRange({"x", 0.0, 1.0, false}).ok());
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.ToString(), b.ToString());
+}
+
+// --- Hashing: Predicate::Hash / std::hash<Predicate> agree with operator== ---
+
+TEST(PredicateHash, OrderIndependentConstructionHashesAlike) {
+  Predicate a, b;
+  ASSERT_TRUE(a.AddRange({"x", 0.0, 1.0, false}).ok());
+  ASSERT_TRUE(a.AddSet({"s", {3, 1}}).ok());
+  ASSERT_TRUE(a.AddRange({"w", 2.0, 3.0, true}).ok());
+  ASSERT_TRUE(b.AddRange({"w", 2.0, 3.0, true}).ok());
+  ASSERT_TRUE(b.AddSet({"s", {1, 3, 3}}).ok());
+  ASSERT_TRUE(b.AddRange({"x", 0.0, 1.0, false}).ok());
+  ASSERT_EQ(a, b);
+  EXPECT_EQ(a.Hash(), b.Hash());
+  EXPECT_EQ(std::hash<Predicate>{}(a), a.Hash());
+  EXPECT_EQ(Predicate::True().Hash(), Predicate().Hash());
+}
+
+TEST(PredicateHash, SignedZerosAreEqualAndHashAlike) {
+  Predicate pos_lo, neg_lo, pos_hi, neg_hi;
+  ASSERT_TRUE(pos_lo.AddRange({"x", 0.0, 1.0, false}).ok());
+  ASSERT_TRUE(neg_lo.AddRange({"x", -0.0, 1.0, false}).ok());
+  ASSERT_TRUE(pos_hi.AddRange({"x", -1.0, 0.0, true}).ok());
+  ASSERT_TRUE(neg_hi.AddRange({"x", -1.0, -0.0, true}).ok());
+  ASSERT_EQ(pos_lo, neg_lo);
+  ASSERT_EQ(pos_hi, neg_hi);
+  EXPECT_EQ(pos_lo.Hash(), neg_lo.Hash());
+  EXPECT_EQ(pos_hi.Hash(), neg_hi.Hash());
+  std::unordered_set<Predicate> seen = {pos_lo, pos_hi};
+  EXPECT_EQ(seen.count(neg_lo), 1u);
+  EXPECT_EQ(seen.count(neg_hi), 1u);
+}
+
+TEST(PredicateHash, EveryComparedFieldSeparatesKeys) {
+  auto range = [](double lo, double hi, bool inclusive) {
+    Predicate p;
+    EXPECT_TRUE(p.AddRange({"x", lo, hi, inclusive}).ok());
+    return p;
+  };
+  auto set = [](const std::string& attr, std::vector<int32_t> codes) {
+    Predicate p;
+    EXPECT_TRUE(p.AddSet({attr, std::move(codes)}).ok());
+    return p;
+  };
+  // Bounds past ToString's six significant digits print alike but are
+  // distinct keys.
+  const Predicate near_a = range(1.0000001, 2.0, false);
+  const Predicate near_b = range(1.0000002, 2.0, false);
+  ASSERT_EQ(near_a.ToString(), near_b.ToString());
+  const std::vector<Predicate> distinct = {
+      near_a,           near_b,
+      range(1.0000001, 2.0, true),
+      set("s", {1, 2}), set("s", {1, 3}), set("s", {1, 2, 3}),
+      set("t", {1, 2}), Predicate::True()};
+  std::unordered_set<Predicate> keys(distinct.begin(), distinct.end());
+  EXPECT_EQ(keys.size(), distinct.size());
+  for (const Predicate& p : distinct) EXPECT_EQ(keys.count(p), 1u);
+  // Not required by the contract, but a hash that skipped a field would
+  // collide here: every compared field feeds it.
+  std::unordered_set<size_t> hashes;
+  for (const Predicate& p : distinct) hashes.insert(p.Hash());
+  EXPECT_EQ(hashes.size(), distinct.size());
+}
+
+TEST(PredicateHash, NanBoundsNeverHit) {
+  // operator== compares bounds by value, so a NaN bound makes a predicate
+  // unequal even to itself: a hashed lookup never finds it.
+  Predicate p;
+  ASSERT_TRUE(
+      p.AddRange({"x", std::numeric_limits<double>::quiet_NaN(), 1.0, false})
+          .ok());
+  EXPECT_FALSE(p == p);
+  std::unordered_set<Predicate> keys = {p};
+  EXPECT_EQ(keys.count(p), 0u);
 }
 
 }  // namespace
