@@ -6,7 +6,8 @@
 //               approximation instead of exact scoring
 //
 // Reported: wall time, exact Scorer calls, merged boxes served from the
-// Merger's influence memo instead, estimated calls, and the final
+// Merger's influence memo instead, expansion steps replayed from an earlier
+// seed's visit to the same state, estimated calls, and the final
 // best influence + F-score (to confirm the optimizations do not degrade
 // quality). Expectation: both optimizations cut exact scorer traffic; the
 // estimate replaces most candidate-ranking scores; quality stays flat.
@@ -41,7 +42,7 @@ int main() {
   std::printf("partitions: %zu\n\n", partitions->size());
 
   TablePrinter table({"quartile", "estimate", "time(s)", "exact scores",
-                      "memo hits", "estimates", "best influence",
+                      "memo hits", "replayed", "estimates", "best influence",
                       "F(outer)"});
   for (bool quartile : {false, true}) {
     for (bool estimate : {false, true}) {
@@ -65,6 +66,7 @@ int main() {
       table.AddRow({quartile ? "on" : "off", estimate ? "on" : "off",
                     Fmt(seconds), std::to_string(merger.stats().exact_scores),
                     std::to_string(merger.stats().memo_hits),
+                    std::to_string(merger.stats().states_replayed),
                     std::to_string(merger.stats().estimated_scores),
                     Fmt(merged->front().influence, "%.4g"),
                     Fmt(acc->f_score)});

@@ -59,12 +59,15 @@ Status Merger::EnsureScored(ScoredPredicate* sp) const {
   return Status::OK();
 }
 
+bool Merger::Estimable(const ScoredPredicate& sp) const {
+  return options_.use_cached_tuple_estimate && scorer_.incremental() &&
+         sp.info.has_representative &&
+         sp.info.outlier_counts.size() == scorer_.problem().outliers.size();
+}
+
 bool Merger::CanEstimate(const ScoredPredicate& a,
                          const ScoredPredicate& b) const {
-  return options_.use_cached_tuple_estimate && scorer_.incremental() &&
-         a.info.has_representative && b.info.has_representative &&
-         a.info.outlier_counts.size() == scorer_.problem().outliers.size() &&
-         b.info.outlier_counts.size() == scorer_.problem().outliers.size();
+  return Estimable(a) && Estimable(b);
 }
 
 Merger::EstimateIndex Merger::IndexPartitions(
@@ -315,13 +318,133 @@ Result<std::vector<ScoredPredicate>> Merger::Run(
   // changes and a repeat is served from here — the same double a rescore
   // would produce, so the expansion trajectory is unchanged. Different
   // seeds keep reaching the same large boxes, which makes repeats common.
-  // Only the serial accept loop below reads or writes it.
+  // Only the serial accept loop below reads or writes it. Its entries also
+  // name expansion states: `states[s]` is candidate s's entry, and an
+  // accepted box's entry comes from the accept loop's try_emplace (never a
+  // lookup: a predicate with a NaN bound is unequal to itself).
+  using MemoEntry = std::unordered_map<Predicate, double>::value_type;
   std::unordered_map<Predicate, double> memo;
+  std::vector<const MemoEntry*> states;
+  states.reserve(candidates.size());
   for (const ScoredPredicate& sp : candidates) {
-    memo.emplace(sp.pred, sp.influence);
+    states.push_back(&*memo.emplace(sp.pred, sp.influence).first);
   }
   // Read-only from here on, so the parallel estimate pass shares it.
   const EstimateIndex index = IndexPartitions(candidates);
+
+  // One expansion step of `cur`: rank the adjacent partitions by estimate
+  // and take the first whose box's exact influence improves on cur's.
+  // Records the outcome in `step`, which stays a stop when nothing improves.
+  struct Step {
+    const ScoredPredicate* other = nullptr;  // nullptr: the expansion stops
+    const MemoEntry* box = nullptr;          // the accepted box and its score
+  };
+  const size_t max_chunk = scorer_.candidate_batching_enabled() ? 8 : 1;
+  auto expand = [&](const ScoredPredicate& cur, Step* step) -> Status {
+    // Collect grow candidates: adjacent partitions not already inside cur.
+    struct Candidate {
+      const ScoredPredicate* other;
+      double estimate;
+    };
+    std::vector<Candidate> grow;
+    for (const ScoredPredicate& other : candidates) {
+      if (options_.same_attributes_only &&
+          other.pred.Attributes() != cur.pred.Attributes()) {
+        continue;
+      }
+      if (Predicate::SyntacticallyContains(cur.pred, other.pred)) continue;
+      if (!Adjacent(cur.pred, other.pred)) continue;
+      grow.push_back({&other, 0.0});
+      if (grow.size() >= options_.max_candidates_per_step) break;
+    }
+    // Estimating a merge is the expansion step's hot scoring loop; each
+    // candidate is independent and the index is read-only, so this runs in
+    // parallel.
+    ParallelForOver(pool, 0, grow.size(), [&](size_t i) {
+      if (CanEstimate(cur, *grow[i].other)) {
+        grow[i].estimate = EstimateMergedInfluence(
+            Predicate::BoundingBox(cur.pred, grow[i].other->pred), index);
+      } else {
+        // Fall back to the neighbour's own score.
+        grow[i].estimate = grow[i].other->influence;
+      }
+    });
+    std::sort(grow.begin(), grow.end(),
+              [](const Candidate& a, const Candidate& b) {
+                return a.estimate > b.estimate;
+              });
+
+    // Accept the first candidate whose *exact* merged influence improves.
+    // With candidate batching, exact merged influences are computed a chunk
+    // at a time through the batched filter plane (bounding boxes of one seed
+    // against its neighbours usually differ in a single clause), but the
+    // accept decision still takes the FIRST improving candidate in estimate
+    // order — the accepted merge, and hence the whole expansion trajectory,
+    // is identical to scoring one candidate at a time, which is what chunks
+    // of one do without batching. Chunk sizing follows the (already
+    // computed, descending) estimates: while the estimate itself predicts
+    // an improvement the candidate is scored alone — an accept there would
+    // throw a speculative batch away — and once estimates drop below the
+    // accept threshold the remaining tail is batched at full width. Only
+    // memo misses reach the scorer.
+    for (size_t start = 0; start < grow.size() && step->other == nullptr;) {
+      const size_t lim = grow[start].estimate > cur.influence + kImproveEps
+                             ? start + 1
+                             : std::min(start + max_chunk, grow.size());
+      std::vector<size_t> idx;
+      std::vector<const MemoEntry*> entries;
+      std::vector<Predicate> misses;
+      std::vector<double*> miss_scores;
+      for (size_t i = start; i < lim; ++i) {
+        Predicate box = Predicate::BoundingBox(cur.pred, grow[i].other->pred);
+        if (box == cur.pred) continue;
+        // Element pointers stay valid across rehashes.
+        auto [it, inserted] = memo.try_emplace(std::move(box), kNegInf);
+        if (inserted) {
+          misses.push_back(it->first);
+          miss_scores.push_back(&it->second);
+        } else {
+          ++stats_.memo_hits;
+        }
+        idx.push_back(i);
+        entries.push_back(&*it);
+      }
+      if (!misses.empty()) {
+        std::vector<double> scores;
+        if (misses.size() == 1) {
+          // Likely-accept head: score inline, skipping the batch machinery
+          // a single candidate cannot use.
+          SCORPION_ASSIGN_OR_RETURN(double score, scorer_.Influence(misses[0]));
+          scores.push_back(score);
+        } else {
+          SCORPION_ASSIGN_OR_RETURN(scores, scorer_.InfluenceAll(misses));
+        }
+        stats_.exact_scores += misses.size();
+        for (size_t j = 0; j < misses.size(); ++j) {
+          *miss_scores[j] = scores[j];
+        }
+      }
+      for (size_t j = 0; j < idx.size(); ++j) {
+        if (entries[j]->second > cur.influence + kImproveEps) {
+          *step = {grow[idx[j]].other, entries[j]};
+          break;
+        }
+      }
+      start = lim;
+    }
+    return Status::OK();
+  };
+
+  // A step is a pure function of its state: it reads cur only through
+  // cur.pred (the grow list, the boxes and their estimates), cur.influence
+  // (always the memo's score for cur.pred) and Estimable(cur), which
+  // AcceptMerge preserves along a trajectory. Seeds keep converging on the
+  // same states, so each distinct (memo entry, estimable) state is expanded
+  // once and a repeat replays the recorded step. Replays still advance one
+  // step per iteration, so the per-seed budget and the path-dependent counts
+  // and internal_score come out as a fresh expansion's would. Indexed by
+  // Estimable(cur); only this serial loop touches it.
+  std::unordered_map<const MemoEntry*, Step> steps[2];
 
   size_t num_seeds = candidates.size();
   if (options_.top_quartile_only && candidates.size() >= 4) {
@@ -331,109 +454,22 @@ Result<std::vector<ScoredPredicate>> Merger::Run(
   std::vector<ScoredPredicate> results = candidates;
   for (size_t s = 0; s < num_seeds; ++s) {
     ScoredPredicate cur = candidates[s];
+    const MemoEntry* state = states[s];
+    std::unordered_map<const MemoEntry*, Step>& seed_steps =
+        steps[Estimable(cur)];
     for (int expansion = 0; expansion < options_.max_expansions_per_seed;
          ++expansion) {
-      // Collect grow candidates: adjacent partitions not already inside cur.
-      struct Candidate {
-        const ScoredPredicate* other;
-        double estimate;
-      };
-      std::vector<Candidate> grow;
-      for (const ScoredPredicate& other : candidates) {
-        if (options_.same_attributes_only &&
-            other.pred.Attributes() != cur.pred.Attributes()) {
-          continue;
-        }
-        if (Predicate::SyntacticallyContains(cur.pred, other.pred)) continue;
-        if (!Adjacent(cur.pred, other.pred)) continue;
-        grow.push_back({&other, 0.0});
-        if (grow.size() >= options_.max_candidates_per_step) break;
+      auto [known, fresh] = seed_steps.try_emplace(state);
+      const Step& step = known->second;
+      if (fresh) {
+        SCORPION_RETURN_NOT_OK(expand(cur, &known->second));
+      } else {
+        ++stats_.states_replayed;
       }
-      if (grow.empty()) break;
-      // Estimating a merge is the expansion step's hot scoring loop; each
-      // candidate is independent and the index is read-only, so this runs
-      // in parallel.
-      ParallelForOver(pool, 0, grow.size(), [&](size_t i) {
-        if (CanEstimate(cur, *grow[i].other)) {
-          grow[i].estimate = EstimateMergedInfluence(
-              Predicate::BoundingBox(cur.pred, grow[i].other->pred), index);
-        } else {
-          // Fall back to the neighbour's own score.
-          grow[i].estimate = grow[i].other->influence;
-        }
-      });
-      std::sort(grow.begin(), grow.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  return a.estimate > b.estimate;
-                });
-
-      // Accept the first candidate whose *exact* merged influence improves.
-      // With candidate batching, exact merged influences are computed a
-      // chunk at a time through the batched filter plane (bounding boxes of
-      // one seed against its neighbours usually differ in a single clause),
-      // but the accept decision still takes the FIRST improving candidate
-      // in estimate order — the accepted merge, and hence the whole
-      // expansion trajectory, is identical to scoring one candidate at a
-      // time, which is what chunks of one do without batching. Chunk sizing
-      // follows the (already computed, descending) estimates: while the
-      // estimate itself predicts an improvement the candidate is scored
-      // alone — an accept there would throw a speculative batch away — and
-      // once estimates drop below the accept threshold the remaining tail
-      // is batched at full width. Only memo misses reach the scorer.
-      const size_t max_chunk = scorer_.candidate_batching_enabled() ? 8 : 1;
-      bool accepted = false;
-      for (size_t start = 0; start < grow.size() && !accepted;) {
-        const size_t lim = grow[start].estimate > cur.influence + kImproveEps
-                               ? start + 1
-                               : std::min(start + max_chunk, grow.size());
-        std::vector<size_t> idx;
-        std::vector<Predicate> boxes;
-        std::vector<const double*> box_scores;  // memo entries
-        std::vector<Predicate> misses;
-        std::vector<double*> miss_scores;
-        for (size_t i = start; i < lim; ++i) {
-          Predicate box = Predicate::BoundingBox(cur.pred, grow[i].other->pred);
-          if (box == cur.pred) continue;
-          // Element pointers stay valid across rehashes.
-          auto [it, inserted] = memo.try_emplace(box, kNegInf);
-          if (inserted) {
-            misses.push_back(box);
-            miss_scores.push_back(&it->second);
-          } else {
-            ++stats_.memo_hits;
-          }
-          idx.push_back(i);
-          boxes.push_back(std::move(box));
-          box_scores.push_back(&it->second);
-        }
-        if (!misses.empty()) {
-          std::vector<double> scores;
-          if (misses.size() == 1) {
-            // Likely-accept head: score inline, skipping the batch
-            // machinery a single candidate cannot use.
-            SCORPION_ASSIGN_OR_RETURN(double score,
-                                      scorer_.Influence(misses[0]));
-            scores.push_back(score);
-          } else {
-            SCORPION_ASSIGN_OR_RETURN(scores, scorer_.InfluenceAll(misses));
-          }
-          stats_.exact_scores += misses.size();
-          for (size_t j = 0; j < misses.size(); ++j) {
-            *miss_scores[j] = scores[j];
-          }
-        }
-        for (size_t j = 0; j < idx.size(); ++j) {
-          const double score = *box_scores[j];
-          if (!(score > cur.influence + kImproveEps)) continue;
-          cur = AcceptMerge(cur, *grow[idx[j]].other, std::move(boxes[j]),
-                            score);
-          accepted = true;
-          ++stats_.merges_accepted;
-          break;
-        }
-        start = lim;
-      }
-      if (!accepted) break;
+      if (step.other == nullptr) break;
+      cur = AcceptMerge(cur, *step.other, step.box->first, step.box->second);
+      state = step.box;
+      ++stats_.merges_accepted;
     }
     results.push_back(std::move(cur));
   }

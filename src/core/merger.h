@@ -5,7 +5,9 @@
 //     a cached-tuple volume-overlap approximation instead of exact scoring;
 //     accepted merges are re-scored exactly before being kept.
 // Within one Run every distinct predicate is exact-scored at most once: an
-// influence memo keyed by exact predicate equality serves repeats.
+// influence memo keyed by exact predicate equality serves repeats. Each
+// distinct expansion state is expanded once too: a seed that reaches a
+// state an earlier seed expanded replays the recorded step.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +33,8 @@ struct MergerStats {
                                       // Selections (no bind/filter pass)
   RelaxedCounter memo_hits;  // merged boxes whose exact score an earlier
                              // score in the same Run already supplied
+  RelaxedCounter states_replayed;  // expansion steps replayed from an
+                                   // earlier seed's visit to the same state
 };
 
 /// \brief Greedy predicate merger.
@@ -140,6 +144,10 @@ class Merger {
  private:
   /// Ensures `sp.influence` holds the exact score.
   Status EnsureScored(ScoredPredicate* sp) const;
+
+  /// CanEstimate's test of one side: the estimate is enabled and `sp` has
+  /// a representative and one count per outlier group.
+  bool Estimable(const ScoredPredicate& sp) const;
 
   const Scorer& scorer_;
   DomainMap domains_;

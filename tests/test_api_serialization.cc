@@ -401,6 +401,14 @@ TEST(JsonNumbers, ShortestFormSurvivesRoundTrips) {
   EXPECT_EQ(JsonNumberToString(1e300), "1e+300");
 }
 
+TEST(JsonStrings, EscapeStringEscapesSpecials) {
+  EXPECT_EQ(JsonEscapeString("plain"), "plain");
+  EXPECT_EQ(JsonEscapeString("a\"b"), "a\\\"b");
+  EXPECT_EQ(JsonEscapeString("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscapeString("a\nb\tc"), "a\\nb\\tc");
+  EXPECT_EQ(JsonEscapeString(std::string(1, '\x01')), "\\u0001");
+}
+
 TEST(JsonStrings, EscapesSurviveRoundTrips) {
   JsonValue obj = JsonValue::Object();
   obj.Add("k\"e\\y\n", JsonValue::String("v\t\r\x01\x1f" "normal ✓"));

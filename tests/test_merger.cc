@@ -1,6 +1,7 @@
 // Merger behaviour: adjacency, expansion semantics, top-quartile and
 // cached-tuple optimizations, the influence memo (no predicate scored twice
-// in one Run) and the indexed estimate pass against its name-based oracle.
+// in one Run), step replay against its no-replay oracle and the indexed
+// estimate pass against its name-based oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,7 @@
 #include "core/merger.h"
 #include "eval/experiment.h"
 #include "oracle/merger_estimate.h"
+#include "oracle/merger_expand.h"
 #include "workload/synth.h"
 
 namespace scorpion {
@@ -282,11 +284,14 @@ class MergerMemo : public MergerOnSynth {
   /// with a recording source installed, and checks that no predicate is
   /// scored twice, that every exact score is one fetch, that repeats were
   /// served from the memo, and that the output is bit-identical across
-  /// configurations.
+  /// configurations. Stores in `replayed` the number of expansion steps
+  /// replayed, which every configuration must agree on.
   void ExpectEachPredicateScoredOnce(const std::vector<ScoredPredicate>& inputs,
-                                     const MergerOptions& opts) {
+                                     const MergerOptions& opts,
+                                     uint64_t* replayed = nullptr) {
     ThreadPool pool(4);
     std::optional<std::vector<ScoredPredicate>> reference;
+    std::optional<uint64_t> first_replayed;
     uint64_t examined[2] = {0, 0};
     for (bool batching : {false, true}) {
       for (size_t threads : {1, 4}) {
@@ -321,6 +326,10 @@ class MergerMemo : public MergerOnSynth {
         } else {
           EXPECT_EQ(boxes, examined[batching]);
         }
+        if (!first_replayed.has_value()) {
+          first_replayed = stats.states_replayed.load();
+        }
+        EXPECT_EQ(stats.states_replayed.load(), *first_replayed);
 
         if (!reference.has_value()) {
           reference = *merged;
@@ -334,6 +343,7 @@ class MergerMemo : public MergerOnSynth {
       }
     }
     EXPECT_GE(examined[1], examined[0]);
+    if (replayed != nullptr) *replayed = first_replayed.value_or(0);
   }
 };
 
@@ -346,7 +356,10 @@ TEST_F(MergerMemo, DTMergeScoresEachPredicateOnce) {
   for (ScoredPredicate& sp : *partitions) {
     sp.influence = -std::numeric_limits<double>::infinity();
   }
-  ExpectEachPredicateScoredOnce(*partitions, MergerOptions{});
+  uint64_t replayed = 0;
+  ExpectEachPredicateScoredOnce(*partitions, MergerOptions{}, &replayed);
+  // Seeds converge: some reach a state an earlier seed already expanded.
+  EXPECT_GT(replayed, 0u);
 }
 
 TEST_F(MergerMemo, MCMergeScoresEachPredicateOnce) {
@@ -377,11 +390,173 @@ TEST_F(MergerMemo, MCMergeScoresEachPredicateOnce) {
   ExpectEachPredicateScoredOnce(units, opts);
 }
 
-// --- Indexed estimate pass vs the name-based oracle --------------------------
-
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
+
+// --- Step replay vs the no-replay oracle -------------------------------------
+
+/// Predicate equality that also holds for NaN bounds (compared bitwise).
+bool SamePredicate(const Predicate& a, const Predicate& b) {
+  if (a.ranges().size() != b.ranges().size() || a.sets() != b.sets()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.ranges().size(); ++i) {
+    const RangeClause& ra = a.ranges()[i];
+    const RangeClause& rb = b.ranges()[i];
+    if (ra.attr != rb.attr || !SameBits(ra.lo, rb.lo) ||
+        !SameBits(ra.hi, rb.hi) || ra.hi_inclusive != rb.hi_inclusive) {
+      return false;
+    }
+  }
+  return true;
+}
+
+class MergerReplay : public MergerOnSynth {
+ protected:
+  /// The DT partitions of the fixture's problem, unscored as the engine
+  /// hands them to the Merger.
+  std::vector<ScoredPredicate> DTPartitions() {
+    DTPartitioner dt(*scorer_, DTOptions{});
+    auto partitions = dt.Run();
+    EXPECT_TRUE(partitions.ok()) << partitions.status().ToString();
+    EXPECT_GT(partitions->size(), 8u);
+    for (ScoredPredicate& sp : *partitions) {
+      sp.influence = -std::numeric_limits<double>::infinity();
+    }
+    return *partitions;
+  }
+
+  /// Merges `inputs` under budgets 1, 2, 3 and 64, batching on and off and
+  /// 1 and 4 threads, and expects Merger::Run to match the no-replay oracle
+  /// entry by entry, bit for bit, with the same exact scores and accepted
+  /// merges. Returns the number of steps Run replayed.
+  uint64_t ExpectReplayMatchesOracle(const std::vector<ScoredPredicate>& inputs,
+                                     MergerOptions opts) {
+    ThreadPool pool(4);
+    uint64_t replayed = 0;
+    for (int budget : {1, 2, 3, 64}) {
+      opts.max_expansions_per_seed = budget;
+      for (bool batching : {false, true}) {
+        for (size_t threads : {1, 4}) {
+          SCOPED_TRACE("budget=" + std::to_string(budget) +
+                       (batching ? ", batched" : ", sequential") +
+                       ", threads=" + std::to_string(threads));
+          scorer_->set_enable_candidate_batching(batching);
+          scorer_->set_thread_pool(threads > 1 ? &pool : nullptr);
+          Merger merger(*scorer_, domains_, opts);
+          auto got = merger.Run(inputs);
+          Merger oracle_merger(*scorer_, domains_, opts);
+          auto want = oracle::ExpandWithoutReplay(oracle_merger, *scorer_,
+                                                  opts, inputs);
+          scorer_->set_thread_pool(nullptr);
+          scorer_->set_enable_candidate_batching(true);
+          EXPECT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_TRUE(want.ok()) << want.status().ToString();
+          if (!got.ok() || !want.ok()) return replayed;
+
+          EXPECT_EQ(merger.stats().exact_scores.load(), want->exact_scores);
+          EXPECT_EQ(merger.stats().merges_accepted.load(),
+                    want->merges_accepted);
+          replayed += merger.stats().states_replayed;
+          EXPECT_EQ(got->size(), want->results.size());
+          if (got->size() != want->results.size()) return replayed;
+          for (size_t i = 0; i < got->size(); ++i) {
+            const ScoredPredicate& g = (*got)[i];
+            const ScoredPredicate& w = want->results[i];
+            SCOPED_TRACE("entry " + std::to_string(i) + ": " +
+                         w.pred.ToString());
+            EXPECT_TRUE(SamePredicate(g.pred, w.pred)) << g.pred.ToString();
+            EXPECT_TRUE(SameBits(g.influence, w.influence));
+            EXPECT_TRUE(SameBits(g.internal_score, w.internal_score));
+            EXPECT_EQ(g.info.outlier_counts, w.info.outlier_counts);
+            EXPECT_EQ(g.info.representative, w.info.representative);
+            EXPECT_EQ(g.info.has_representative, w.info.has_representative);
+          }
+        }
+      }
+    }
+    return replayed;
+  }
+};
+
+TEST_F(MergerReplay, DTPartitionsMatchOracle) {
+  EXPECT_GT(ExpectReplayMatchesOracle(DTPartitions(), MergerOptions{}), 0u);
+}
+
+TEST_F(MergerReplay, SeedsWithAndWithoutRepresentativeMatchOracle) {
+  // Every other partition loses its representative, so it ranks its
+  // neighbours by their own scores instead of by the estimate while the
+  // rest estimate: seeds of both kinds reach the same boxes and must not
+  // share a step there.
+  std::vector<ScoredPredicate> inputs = DTPartitions();
+  for (size_t i = 0; i < inputs.size(); i += 2) {
+    inputs[i].info.has_representative = false;
+  }
+  MergerOptions opts;
+  opts.top_quartile_only = false;
+  EXPECT_GT(ExpectReplayMatchesOracle(inputs, opts), 0u);
+}
+
+TEST_F(MergerReplay, SameAttributesOnlyMatchesOracle) {
+  MergerOptions opts;
+  opts.top_quartile_only = false;
+  opts.same_attributes_only = true;
+  EXPECT_GT(ExpectReplayMatchesOracle(DTPartitions(), opts), 0u);
+}
+
+TEST_F(MergerReplay, MCUnitsMatchOracle) {
+  // Already-scored grid units merged within one subspace on the exact path,
+  // as MC hands them over.
+  const AttrDomain& x = domains_.at("A1");
+  const AttrDomain& y = domains_.at("A2");
+  constexpr int kCells = 6;
+  std::vector<ScoredPredicate> units;
+  for (int i = 0; i < kCells; ++i) {
+    for (int j = 0; j < kCells; ++j) {
+      auto edge = [](const AttrDomain& d, int k) {
+        return d.lo + (d.hi - d.lo) * k / kCells;
+      };
+      ScoredPredicate sp;
+      ASSERT_TRUE(sp.pred.AddRange({"A1", edge(x, i), edge(x, i + 1),
+                                    i + 1 == kCells}).ok());
+      ASSERT_TRUE(sp.pred.AddRange({"A2", edge(y, j), edge(y, j + 1),
+                                    j + 1 == kCells}).ok());
+      sp.influence = scorer_->Influence(sp.pred).ValueOrDie();
+      units.push_back(std::move(sp));
+    }
+  }
+  MergerOptions opts;
+  opts.use_cached_tuple_estimate = false;
+  opts.top_quartile_only = false;
+  opts.same_attributes_only = true;
+  EXPECT_GT(ExpectReplayMatchesOracle(units, opts), 0u);
+}
+
+TEST_F(MergerReplay, NaNBoundedCandidateMatchesOracle) {
+  // AddRange accepts a NaN bound. Such a predicate is unequal to itself, so
+  // its boxes never hit the memo and its states must never be replayed.
+  std::vector<ScoredPredicate> inputs = DTPartitions();
+  ScoredPredicate nan_part;
+  ASSERT_TRUE(nan_part.pred.AddRange({"A1", std::nan(""), 50.0}).ok());
+  ASSERT_TRUE(nan_part.pred.AddRange({"A2", 0.0, 50.0}).ok());
+  inputs.push_back(nan_part);
+  MergerOptions opts;
+  opts.top_quartile_only = false;
+  EXPECT_GT(ExpectReplayMatchesOracle(inputs, opts), 0u);
+  // The NaN seed itself grew: its accepted boxes keep the NaN bound.
+  Merger merger(*scorer_, domains_, opts);
+  auto merged = merger.Run(inputs);
+  ASSERT_TRUE(merged.ok());
+  size_t nan_bounded = 0;
+  for (const ScoredPredicate& sp : *merged) {
+    const RangeClause* a1 = sp.pred.FindRange("A1");
+    nan_bounded += a1 != nullptr && std::isnan(a1->lo);
+  }
+  EXPECT_GE(nan_bounded, 2u);
+}
+
+// --- Indexed estimate pass vs the name-based oracle --------------------------
 
 /// Random range+set predicate over a mix of attributes: the SYNTH columns
 /// (ranges reaching past the domain, point ranges), a zero-width domain,
