@@ -11,10 +11,14 @@
 // best influence + F-score (to confirm the optimizations do not degrade
 // quality). Expectation: both optimizations cut exact scorer traffic; the
 // estimate replaces most candidate-ranking scores; quality stays flat.
+//
+// A second table reports the Merger MC runs inside its own search (exact
+// path, same-subspace merges), whose counters MCStats::merger carries.
 #include <cstdio>
 
 #include "bench_common.h"
 #include "core/dt.h"
+#include "core/mc.h"
 #include "core/merger.h"
 
 using namespace scorpion;
@@ -73,5 +77,21 @@ int main() {
     }
   }
   table.Print();
+
+  std::printf("\n=== MC's own Merger (SYNTH-3D-Easy) ===\n");
+  MCPartitioner mc(*scorer, MCOptions{}, MergerOptions{});
+  WallTimer mc_timer;
+  auto ranked = mc.Run();
+  const double mc_seconds = mc_timer.ElapsedSeconds();
+  BENCH_CHECK_OK(ranked);
+  const MergerStats& mc_merger = mc.stats().merger;
+  TablePrinter mc_table({"time(s)", "exact scores", "memo hits", "replayed",
+                         "merges accepted", "best influence"});
+  mc_table.AddRow({Fmt(mc_seconds), std::to_string(mc_merger.exact_scores),
+                   std::to_string(mc_merger.memo_hits),
+                   std::to_string(mc_merger.states_replayed),
+                   std::to_string(mc_merger.merges_accepted),
+                   Fmt(ranked->front().influence, "%.4g")});
+  mc_table.Print();
   return 0;
 }

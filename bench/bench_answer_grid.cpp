@@ -12,8 +12,11 @@
 //
 // Full grid: 2-D/3-D x Easy/Hard x generator seeds 42/7/99 x
 // c in {0, 0.1, 0.5, 1} x lambda in {0.5, 1} x DT/MC, plus NAIVE on 2-D, at
-// 1,000 tuples per group (240 configurations). --tiny: 2-D Easy/Hard,
-// seed 42, c in {0, 1}, lambda 0.5, DT/MC/NAIVE (12 configurations).
+// 1,000 tuples per group (240 configurations), then EXPENSE (40 days of
+// 100 rows, 300 recipients; its categorical attributes are the ones DT
+// splits by value set) at lambda 0.8 x c in {0, 0.5, 1} x DT/MC (6 more).
+// --tiny: 2-D Easy/Hard, seed 42, c in {0, 1}, lambda 0.5, DT/MC/NAIVE,
+// plus EXPENSE DT at c 0.5 (13 configurations).
 //
 // NAIVE records checkpoints on improvement only, not on a timer.
 //
@@ -29,6 +32,7 @@
 
 #include "api/dataset.h"
 #include "common/json.h"
+#include "workload/expense.h"
 #include "workload/synth.h"
 
 using namespace scorpion;
@@ -114,6 +118,30 @@ int main(int argc, char** argv) {
   Engine engine(options);
 
   int failures = 0;
+  // Explains `request` and prints its answer line; false on a fatal error.
+  auto print_answer = [&](const Dataset& dataset, const ExplainRequest& request,
+                          const char* label) {
+    auto response = dataset.Explain(request);
+    if (!response.ok()) {
+      std::printf("%s ERROR %s\n", label,
+                  response.status().ToString().c_str());
+      ++failures;
+      return true;
+    }
+    if (request.algorithm() == Algorithm::kNaive &&
+        !response->naive_exhausted) {
+      std::fprintf(stderr, "%s: NAIVE did not exhaust its space\n", label);
+      ++failures;
+    }
+    auto json = JsonValue::Parse(response->ToJson());
+    if (!json.ok()) {
+      std::fprintf(stderr, "FATAL %s: %s\n", label,
+                   json.status().ToString().c_str());
+      return false;
+    }
+    std::printf("%s %s\n", label, AnswerOnly(*json).Dump().c_str());
+    return true;
+  };
   for (int d : dims) {
     for (bool easy : {true, false}) {
       for (uint64_t seed : seeds) {
@@ -151,30 +179,50 @@ int main(int argc, char** argv) {
                             easy ? "Easy" : "Hard",
                             static_cast<unsigned long long>(seed), c, lambda,
                             AlgorithmName(algorithm));
-              auto response = dataset->Explain(request);
-              if (!response.ok()) {
-                std::printf("%s ERROR %s\n", label,
-                            response.status().ToString().c_str());
-                ++failures;
-                continue;
-              }
-              if (algorithm == Algorithm::kNaive &&
-                  !response->naive_exhausted) {
-                std::fprintf(stderr, "%s: NAIVE did not exhaust its space\n",
-                             label);
-                ++failures;
-              }
-              auto json = JsonValue::Parse(response->ToJson());
-              if (!json.ok()) {
-                std::fprintf(stderr, "FATAL %s: %s\n", label,
-                             json.status().ToString().c_str());
-                return 1;
-              }
-              std::printf("%s %s\n", label, AnswerOnly(*json).Dump().c_str());
+              if (!print_answer(*dataset, request, label)) return 1;
             }
           }
         }
       }
+    }
+  }
+
+  ExpenseOptions expense_options;
+  expense_options.num_days = 40;
+  expense_options.rows_per_day = 100;
+  expense_options.num_recipients = 300;
+  auto expense = GenerateExpense(expense_options);
+  if (!expense.ok()) {
+    std::fprintf(stderr, "FATAL GenerateExpense: %s\n",
+                 expense.status().ToString().c_str());
+    return 1;
+  }
+  auto expense_dataset = engine.Open(expense->table, expense->query);
+  if (!expense_dataset.ok()) {
+    std::fprintf(stderr, "FATAL Open: %s\n",
+                 expense_dataset.status().ToString().c_str());
+    return 1;
+  }
+  const std::vector<double> expense_cs =
+      tiny ? std::vector<double>{0.5} : std::vector<double>{0.0, 0.5, 1.0};
+  const std::vector<Algorithm> expense_algorithms =
+      tiny ? std::vector<Algorithm>{Algorithm::kDT}
+           : std::vector<Algorithm>{Algorithm::kDT, Algorithm::kMC};
+  for (double c : expense_cs) {
+    for (Algorithm algorithm : expense_algorithms) {
+      ExplainRequest request = ExplainRequest()
+                                   .WithAttributes(expense->attributes)
+                                   .WithAlgorithm(algorithm)
+                                   .WithC(c)
+                                   .WithLambda(0.8)
+                                   .Holdouts(expense->holdout_keys);
+      for (const std::string& key : expense->outlier_keys) {
+        request.FlagTooHigh(key);
+      }
+      char label[96];
+      std::snprintf(label, sizeof(label), "EXPENSE c=%g lambda=0.8 %s", c,
+                    AlgorithmName(algorithm));
+      if (!print_answer(*expense_dataset, request, label)) return 1;
     }
   }
   return failures == 0 ? 0 : 1;

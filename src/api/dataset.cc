@@ -370,13 +370,12 @@ Result<uint64_t> LiveDataset::Refresh() {
 
   // Re-key every session before the swap: from this point an in-flight run
   // on the old generation can no longer store into (or read from) these
-  // sessions, and the parked seeds let the next run per annotation set
-  // extend its match caches instead of refiltering from row zero.
+  // sessions.
   {
     MutexLock lock(sessions_->mu);
     for (auto& [key, entry] : sessions_->sessions) {
       entry.session->BeginDeltaRefresh(snap->generation,
-                                       snap->table.num_rows(), *old_result);
+                                       snap->table.num_rows());
     }
   }
   {
@@ -416,13 +415,6 @@ Result<ExplainResponse> LiveDataset::Explain(
                                  engine_->options().cross_c_warm_start)
           : engine.Explain(snap->table, *result, problem);
   if (!explanation.ok()) return explanation.status();
-  if (service_stats_ != nullptr) {
-    if (explanation->session_delta_refreshed) {
-      ++service_stats_->sessions_delta_refreshed;
-    }
-    service_stats_->tail_rows_scanned +=
-        explanation->scorer_stats.tail_rows_scanned.load();
-  }
   return BuildResponse(snap->table, *result, problem, request.what_if(),
                        engine_options.enable_block_pruning,
                        engine_->scoring_pool(), std::move(*explanation));

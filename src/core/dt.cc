@@ -20,6 +20,39 @@ uint64_t CacheKey(int result_idx, RowId row) {
 
 }  // namespace
 
+std::vector<double> SplitQuantiles(std::vector<double> values,
+                                   int num_candidates) {
+  values.erase(std::remove_if(values.begin(), values.end(),
+                              [](double v) { return std::isnan(v); }),
+               values.end());
+  std::vector<double> candidates;
+  if (values.size() < 2) return candidates;
+  const auto [min_it, max_it] =
+      std::minmax_element(values.begin(), values.end());
+  const double lo = *min_it;
+  const double hi = *max_it;
+  // Positions never decrease with q, and after selecting position p the
+  // p + 1 smallest values sit in [0, p], so each selection only reorders
+  // the part past the previous one.
+  size_t selected = 0;
+  for (int q = 1; q <= num_candidates; ++q) {
+    size_t pos = values.size() * static_cast<size_t>(q) /
+                 (static_cast<size_t>(num_candidates) + 1);
+    pos = std::min(pos, values.size() - 1);
+    if (pos >= selected) {
+      std::nth_element(values.begin() + static_cast<ptrdiff_t>(selected),
+                       values.begin() + static_cast<ptrdiff_t>(pos),
+                       values.end());
+      selected = pos + 1;
+    }
+    const double v = values[pos];
+    if (v > lo && v <= hi && (candidates.empty() || candidates.back() != v)) {
+      candidates.push_back(v);
+    }
+  }
+  return candidates;
+}
+
 DTPartitioner::DTPartitioner(const Scorer& scorer, DTOptions options)
     : scorer_(scorer), options_(options), rng_(options.seed) {}
 
@@ -110,19 +143,8 @@ DTPartitioner::SplitChoice DTPartitioner::ChooseSplit(
       for (const GroupSlice& g : node.groups) {
         for (RowId r : g.sample.rows()) values.push_back(col->GetDouble(r));
       }
-      if (values.size() < 2) return;
-      std::sort(values.begin(), values.end());
-      std::vector<double> candidates;
-      for (int q = 1; q <= options_.num_split_candidates; ++q) {
-        size_t pos = values.size() * static_cast<size_t>(q) /
-                     (static_cast<size_t>(options_.num_split_candidates) + 1);
-        pos = std::min(pos, values.size() - 1);
-        double v = values[pos];
-        if (v > values.front() && v <= values.back() &&
-            (candidates.empty() || candidates.back() != v)) {
-          candidates.push_back(v);
-        }
-      }
+      const std::vector<double> candidates =
+          SplitQuantiles(std::move(values), options_.num_split_candidates);
       // Combined metric: max over groups of weighted child std
       // (Section 6.1.3). The sweep scores every candidate in one pass over
       // the samples; the selection loop below stays serial in candidate
@@ -190,10 +212,43 @@ DTPartitioner::SplitChoice DTPartitioner::ChooseSplit(
   return best;
 }
 
+Status DTPartitioner::NarrowMatches(const Node& node, const SplitChoice& split,
+                                    Node* left, Node* right) const {
+  const PredicateMatchCache* parent = node.matches.get();
+  if (split.is_range) {
+    // A NaN matches every range, so NaN rows belong to both children: each
+    // child filters the parent's rows on its own new range (the parent's
+    // rows without the other child's would lose them).
+    for (Node* child : {left, right}) {
+      const Predicate clause =
+          Predicate::True().WithRange(*child->box.FindRange(split.attr));
+      SCORPION_ASSIGN_OR_RETURN(child->matches,
+                                scorer_.BuildMatchCacheWithin(clause, parent));
+    }
+    return Status::OK();
+  }
+  // Every parent row holds a code of the parent's set (of the column, when
+  // the box has no clause on the attribute), so the right child, which is
+  // that set without the split code, matches exactly the parent's rows the
+  // left child does not.
+  const Predicate clause =
+      Predicate::True().WithSet(*left->box.FindSet(split.attr));
+  SCORPION_ASSIGN_OR_RETURN(left->matches,
+                            scorer_.BuildMatchCacheWithin(clause, parent));
+  PredicateMatchCache rest(parent->size());
+  for (size_t slot = 0; slot < rest.size(); ++slot) {
+    rest[slot] = (*parent)[slot].AndNot((*left->matches)[slot]);
+    rest[slot].rows();
+  }
+  right->matches = std::make_shared<const PredicateMatchCache>(std::move(rest));
+  return Status::OK();
+}
+
 ScoredPredicate DTPartitioner::MakeLeaf(const Node& node,
                                         bool is_outlier) const {
   ScoredPredicate leaf;
   leaf.pred = node.box;
+  if (is_outlier) leaf.matches = node.matches;
   double sum = 0.0;
   size_t n = 0;
   for (const GroupSlice& g : node.groups) {
@@ -251,6 +306,10 @@ Result<std::vector<ScoredPredicate>> DTPartitioner::PartitionGroups(
   Node root;
   root.box = Predicate::True();
   root.depth = 0;
+  if (is_outlier) {
+    SCORPION_ASSIGN_OR_RETURN(root.matches,
+                              scorer_.BuildMatchCacheWithin(root.box, nullptr));
+  }
   for (int idx : result_indices) {
     GroupSlice slice;
     slice.result_idx = idx;
@@ -352,6 +411,9 @@ Result<std::vector<ScoredPredicate>> DTPartitioner::PartitionGroups(
       }
       left.box = node.box.WithSet({split.attr, {split.code}});
       right.box = node.box.WithSet({split.attr, std::move(rest)});
+    }
+    if (node.matches != nullptr) {
+      SCORPION_RETURN_NOT_OK(NarrowMatches(node, split, &left, &right));
     }
 
     // Columnar child distribution: one branch-free gather pass per group
@@ -508,6 +570,10 @@ Result<std::vector<ScoredPredicate>> DTPartitioner::Run() {
         if (!inter.has_value() || *inter == o.pred) continue;
         ScoredPredicate refined;
         refined.pred = std::move(*inter);
+        // The intersection lies inside the outlier leaf.
+        SCORPION_ASSIGN_OR_RETURN(
+            refined.matches,
+            scorer_.BuildMatchCacheWithin(refined.pred, o.matches.get()));
         refined.internal_score = o.internal_score;
         refined.info = o.info;
         // Scale cached counts by the volume fraction retained.
@@ -521,6 +587,18 @@ Result<std::vector<ScoredPredicate>> DTPartitioner::Run() {
         candidates.push_back(std::move(refined));
       }
     }
+  }
+  // The Merger, and every later rescoring of a session's partitions, reads
+  // these match sets partition by partition. They were allocated among the
+  // trees' transient state, now freed; copying them once in partition order
+  // packs each partition's slots together for those reads.
+  for (ScoredPredicate& sp : candidates) {
+    PredicateMatchCache packed;
+    packed.reserve(sp.matches->size());
+    for (const Selection& slot : *sp.matches) {
+      packed.push_back(Selection::FromSorted(slot.rows(), slot.universe_size()));
+    }
+    sp.matches = std::make_shared<const PredicateMatchCache>(std::move(packed));
   }
   return candidates;
 }

@@ -12,8 +12,14 @@
 //
 // The partitioning is agnostic to the c knob (single-tuple influence has
 // |p(g)| = 1), which is what makes cross-c caching possible (Section 8.3.3).
+//
+// Every outlier partition leaves with its match sets over all outlier and
+// hold-out groups (ScoredPredicate::matches), so the Merger scores it with
+// no filter. They are carried down the outlier tree: a child filters only
+// the clause its split narrowed, within its parent's matches.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -32,6 +38,15 @@ struct DTStats {
   uint64_t tuple_influences = 0;  // scorer tuple-influence computations
   uint64_t sampled_tuples = 0;    // tuples drawn into samples
 };
+
+/// Distinct split candidates at the `num_candidates` evenly spaced interior
+/// quantiles of `values` (position size * q / (num_candidates + 1), for
+/// q = 1..num_candidates), ascending, excluding the minimum. NaNs are
+/// dropped first; fewer than two values yield none. Selects the order
+/// statistics without sorting, so the result equals reading them off the
+/// sorted values.
+std::vector<double> SplitQuantiles(std::vector<double> values,
+                                   int num_candidates);
 
 /// \brief Regression-tree space partitioner.
 class DTPartitioner {
@@ -59,6 +74,11 @@ class DTPartitioner {
     Predicate box;
     std::vector<GroupSlice> groups;
     int depth = 0;
+    /// Match sets of `box` over every outlier and hold-out group (the
+    /// scorer's compact layout); outlier tree only, null in the hold-out
+    /// tree. Unlike GroupSlice::rows, they keep NaN rows on both sides of
+    /// a range split, as the box does.
+    std::shared_ptr<const PredicateMatchCache> matches;
   };
 
   struct SplitChoice {
@@ -83,7 +103,13 @@ class DTPartitioner {
 
   SplitChoice ChooseSplit(const Node& node, double parent_metric) const;
 
-  /// Emits a leaf's ScoredPredicate (with PartitionInfo when is_outlier).
+  /// Fills the children's match sets from the parent's by filtering only
+  /// the clause `split` narrowed.
+  Status NarrowMatches(const Node& node, const SplitChoice& split, Node* left,
+                       Node* right) const;
+
+  /// Emits a leaf's ScoredPredicate (with PartitionInfo and the node's
+  /// matches when is_outlier).
   ScoredPredicate MakeLeaf(const Node& node, bool is_outlier) const;
 
   const Scorer& scorer_;

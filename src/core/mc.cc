@@ -87,15 +87,26 @@ Result<std::vector<Predicate>> MCPartitioner::InitialUnits() const {
 }
 
 Result<MCPartitioner::MCCandidate> MCPartitioner::ScoreCandidate(
-    const Predicate& pred) const {
-  SCORPION_ASSIGN_OR_RETURN(DetailedScore score, scorer_.ScoreDetailed(pred));
+    const Predicate& pred, const PredicateMatchCache* parent) const {
+  ScoredPredicate scored;
+  scored.pred = pred;
+  SCORPION_ASSIGN_OR_RETURN(scored.matches,
+                            scorer_.BuildMatchCacheWithin(pred, parent));
+  return ScoreMatched(std::move(scored));
+}
+
+Result<MCPartitioner::MCCandidate> MCPartitioner::ScoreMatched(
+    ScoredPredicate scored) const {
+  SCORPION_ASSIGN_OR_RETURN(DetailedScore score,
+                            scorer_.ScoreDetailed(*scored.matches));
   MCCandidate cand;
-  cand.scored.pred = pred;
+  cand.scored = std::move(scored);
   cand.scored.influence = score.full;
   cand.outlier_only = score.outlier_only;
   cand.max_tuple_influence = kNegInf;
-  for (const Selection& matched : score.matched_outlier) {
-    for (RowId r : matched.rows()) {
+  // The outlier slots lead the cache.
+  for (size_t i = 0; i < scorer_.problem().outliers.size(); ++i) {
+    for (RowId r : (*cand.scored.matches)[i].rows()) {
       double inf = row_influence_[r];
       if (std::isfinite(inf)) {
         cand.max_tuple_influence = std::max(cand.max_tuple_influence, inf);
@@ -156,10 +167,21 @@ Result<std::vector<ScoredPredicate>> MCPartitioner::Run() {
   for (int iteration = 0; iteration < max_dims; ++iteration) {
     ++stats_.iterations;
     // --- Candidate generation (initialize / intersect) ---------------------
+    // An intersection lies inside both frontier predicates it came from, so
+    // it is filtered within the smaller one's matches (`parents`, aligned
+    // with `fresh`); initial units filter the whole input groups.
     std::vector<Predicate> fresh;
+    std::vector<const PredicateMatchCache*> parents;
     if (iteration == 0) {
       SCORPION_ASSIGN_OR_RETURN(fresh, InitialUnits());
+      parents.assign(fresh.size(), nullptr);
     } else {
+      std::vector<size_t> matched_rows(predicates.size(), 0);
+      for (size_t i = 0; i < predicates.size(); ++i) {
+        for (const Selection& slot : *predicates[i].scored.matches) {
+          matched_rows[i] += slot.size();
+        }
+      }
       std::unordered_set<Predicate> seen;
       for (size_t i = 0; i < predicates.size() && fresh.size() <
            options_.max_candidates_per_iteration; ++i) {
@@ -180,7 +202,12 @@ Result<std::vector<ScoredPredicate>> MCPartitioner::Run() {
           }
           auto inter = Predicate::Intersect(a, b);
           if (!inter.has_value()) continue;
-          if (seen.insert(*inter).second) fresh.push_back(std::move(*inter));
+          if (seen.insert(*inter).second) {
+            fresh.push_back(std::move(*inter));
+            const size_t parent =
+                matched_rows[j] < matched_rows[i] ? j : i;
+            parents.push_back(predicates[parent].scored.matches.get());
+          }
         }
       }
     }
@@ -195,7 +222,7 @@ Result<std::vector<ScoredPredicate>> MCPartitioner::Run() {
         std::vector<MCCandidate> scored,
         ParallelMapOver<MCCandidate>(
             scorer_.thread_pool(), fresh.size(),
-            [&](size_t i) { return ScoreCandidate(fresh[i]); }));
+            [&](size_t i) { return ScoreCandidate(fresh[i], parents[i]); }));
     stats_.predicates_scored += scored.size();
 
     // --- Pruning ------------------------------------------------------------
@@ -246,7 +273,17 @@ Result<std::vector<ScoredPredicate>> MCPartitioner::Run() {
         std::vector<MCCandidate> next,
         ParallelMapOver<MCCandidate>(
             scorer_.thread_pool(), rescore.size(),
-            [&](size_t i) { return ScoreCandidate(rescore[i]->pred); }));
+            [&](size_t i) -> Result<MCCandidate> {
+              // Merged boxes need a whole-group filter; a candidate that
+              // came through the merge unchanged still has its matches.
+              if (rescore[i]->matches == nullptr) {
+                return ScoreCandidate(rescore[i]->pred, nullptr);
+              }
+              ScoredPredicate unit;
+              unit.pred = rescore[i]->pred;
+              unit.matches = rescore[i]->matches;
+              return ScoreMatched(std::move(unit));
+            }));
     for (MCCandidate& cand : kept) {
       if (in_next.count(cand.scored.pred) > 0) continue;
       for (const ScoredPredicate& m : improving) {
@@ -260,6 +297,8 @@ Result<std::vector<ScoredPredicate>> MCPartitioner::Run() {
     predicates = std::move(next);
     if (predicates.empty()) break;
   }
+
+  stats_.merger = merger.stats();
 
   // Rank: best + all improving merged predicates, deduplicated.
   std::vector<ScoredPredicate> out;

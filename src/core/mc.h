@@ -33,6 +33,8 @@ struct MCStats {
   uint64_t predicates_scored = 0;
   uint64_t predicates_pruned = 0;
   uint64_t iterations = 0;
+  /// The counters of MC's own Merger, summed over its iterations.
+  MergerStats merger;
 };
 
 /// \brief Bottom-up subspace partitioner.
@@ -41,9 +43,9 @@ class MCPartitioner {
   MCPartitioner(const Scorer& scorer, MCOptions options,
                 MergerOptions merger_options);
 
-  /// Returns ranked predicates, best first. InvalidArgument if the
-  /// aggregate's Delta is not anti-monotone on the outlier data or the
-  /// aggregate is not independent.
+  /// Returns ranked predicates, best first; those the merge left unchanged
+  /// keep their match sets. InvalidArgument if the aggregate's Delta is not
+  /// anti-monotone on the outlier data or the aggregate is not independent.
   Result<std::vector<ScoredPredicate>> Run();
 
   const MCStats& stats() const { return stats_; }
@@ -58,8 +60,14 @@ class MCPartitioner {
   /// Single-attribute unit predicates (initialize_predicates).
   Result<std::vector<Predicate>> InitialUnits() const;
 
-  /// Scores a predicate and computes its max-tuple pruning bound.
-  Result<MCCandidate> ScoreCandidate(const Predicate& pred) const;
+  /// Filters `pred` within `parent` (null: the whole input groups; see
+  /// Scorer::BuildMatchCacheWithin), then scores it.
+  Result<MCCandidate> ScoreCandidate(const Predicate& pred,
+                                     const PredicateMatchCache* parent) const;
+
+  /// Scores `scored` from its attached matches and computes its max-tuple
+  /// pruning bound.
+  Result<MCCandidate> ScoreMatched(ScoredPredicate scored) const;
 
   const Scorer& scorer_;
   MCOptions options_;

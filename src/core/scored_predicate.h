@@ -13,12 +13,13 @@
 
 namespace scorpion {
 
-/// Per-result-group match Selections for one predicate, indexed like
-/// QueryResult::results (only the outlier/hold-out slots are populated).
-/// Filtering is c-agnostic, so the session layer caches these alongside DT
-/// partitions and rescoring at a different c skips re-filtering entirely.
-/// Entries are fully materialized (vector form + count) before sharing, so
-/// concurrent readers never trigger a lazy conversion.
+/// Per-group match Selections for one predicate, compact: one slot per
+/// ProblemSpec::outliers entry, in order, then one per ProblemSpec::holdouts
+/// entry. Filtering is c-agnostic, so a partition's cache serves every
+/// rescoring at any c without touching the table (the session layer keeps
+/// them with the DT partitions it stores). Entries are fully materialized
+/// (vector form + count) before sharing, so concurrent readers never
+/// trigger a lazy conversion.
 using PredicateMatchCache = std::vector<Selection>;
 
 /// Per-partition metadata the DT partitioner attaches so the Merger can run
@@ -45,9 +46,10 @@ struct ScoredPredicate {
   double internal_score = 0.0;
   /// Optional cached-tuple metadata (DT only).
   PartitionInfo info;
-  /// Optional cached match sets (attached by the session layer to the DT
-  /// partitions it stores; see Scorer::BuildMatchCache). Shared and
-  /// immutable, so copying a ScoredPredicate stays cheap.
+  /// Cached match sets (Scorer::BuildMatchCacheWithin). DT attaches them to
+  /// every partition and MC to every candidate it scores, each narrowed
+  /// from its parent's. Shared and immutable, so copying a ScoredPredicate
+  /// stays cheap.
   std::shared_ptr<const PredicateMatchCache> matches;
 };
 

@@ -106,7 +106,7 @@ void Scorer::ConfigureBound(BoundPredicate* bound) const {
   bound->set_pruning_stats(&prune_stats_);
   // Block-level parallelism composes with the per-group ParallelFor above
   // it: nested calls run inline, so only top-level large filters (e.g.
-  // BuildMatchCache's serial group loop) fan out over blocks.
+  // BuildMatchCacheWithin's serial group loop) fan out over blocks.
   bound->set_thread_pool(pool_);
 }
 
@@ -182,19 +182,23 @@ double Scorer::GroupInfluence(int result_idx, const Selection& matched,
 
 Result<PredicateMatchCache> Scorer::FetchMatches(const Predicate& pred) const {
   ++stats_.remote_match_fetches;
-  SCORPION_ASSIGN_OR_RETURN(PredicateMatchCache cache,
+  SCORPION_ASSIGN_OR_RETURN(PredicateMatchCache by_result,
                             match_source_->Matches(pred));
-  if (cache.size() != result_->results.size()) {
+  if (by_result.size() != result_->results.size()) {
     return Status::Internal(
-        "match source returned " + std::to_string(cache.size()) +
+        "match source returned " + std::to_string(by_result.size()) +
         " group slots, expected " + std::to_string(result_->results.size()));
+  }
+  PredicateMatchCache cache(num_slots());
+  for (size_t slot = 0; slot < cache.size(); ++slot) {
+    cache[slot] = std::move(by_result[SlotResult(slot)]);
   }
   return cache;
 }
 
-Result<double> Scorer::InfluenceImpl(const Predicate* pred,
-                                     const PredicateMatchCache* matches,
-                                     bool with_holdouts) const {
+Result<DetailedScore> Scorer::ScoreImpl(const Predicate* pred,
+                                        const PredicateMatchCache* matches,
+                                        bool with_holdouts) const {
   ++stats_.predicate_scores;
   const bool cache_provided = matches != nullptr;
   PredicateMatchCache fetched;
@@ -211,11 +215,12 @@ Result<double> Scorer::InfluenceImpl(const Predicate* pred,
   // On a filter error (stale bound predicate) the lambda parks the status
   // in its per-index slot and yields -inf so the fill loop stops cheaply;
   // the serial scans below give errors precedence over the -inf result.
-  auto group_influence = [&](int idx, bool is_outlier, double ev,
-                             Status* status) {
+  auto group_influence = [&](size_t slot, double ev, Status* status) {
+    const int idx = SlotResult(slot);
+    const bool is_outlier = slot < problem_->outliers.size();
     if (matches != nullptr) {
       if (cache_provided) ++stats_.match_cache_hits;
-      return GroupInfluence(idx, (*matches)[idx], is_outlier, ev);
+      return GroupInfluence(idx, (*matches)[slot], is_outlier, ev);
     }
     Result<Selection> matched =
         FilterGroup(*bound, result_->results[idx].input_group);
@@ -229,117 +234,34 @@ Result<double> Scorer::InfluenceImpl(const Predicate* pred,
   // Per-group work runs in parallel into per-index slots; the reductions
   // below stay serial in group order, so the result is bit-identical to a
   // serial run.
+  DetailedScore out{kNegInf, kNegInf};
   const size_t num_outliers = problem_->outliers.size();
   std::vector<double> outlier_inf;
   std::vector<Status> outlier_status(num_outliers);
   bool finite = FillGroupInfluences(pool_, num_outliers, &outlier_inf,
                                     [&](size_t i) {
                                       return group_influence(
-                                          problem_->outliers[i],
-                                          /*is_outlier=*/true,
-                                          problem_->error_vectors[i],
+                                          i, problem_->error_vectors[i],
                                           &outlier_status[i]);
                                     });
   for (const Status& st : outlier_status) {
     SCORPION_RETURN_NOT_OK(st);
   }
-  if (!finite) return kNegInf;
+  if (!finite) return out;
   double outlier_sum = 0.0;
   for (double inf : outlier_inf) outlier_sum += inf;
-  double score = problem_->lambda * outlier_sum /
-                 static_cast<double>(num_outliers);
+  out.outlier_only = problem_->lambda * outlier_sum /
+                     static_cast<double>(num_outliers);
+  out.full = out.outlier_only;
 
   if (with_holdouts && !problem_->holdouts.empty() && problem_->lambda < 1.0) {
     std::vector<double> holdout_inf;
     std::vector<Status> holdout_status(problem_->holdouts.size());
     finite = FillGroupInfluences(pool_, problem_->holdouts.size(), &holdout_inf,
                                  [&](size_t i) {
-                                   return group_influence(
-                                       problem_->holdouts[i],
-                                       /*is_outlier=*/false, 0.0,
-                                       &holdout_status[i]);
+                                   return group_influence(num_outliers + i, 0.0,
+                                                          &holdout_status[i]);
                                  });
-    for (const Status& st : holdout_status) {
-      SCORPION_RETURN_NOT_OK(st);
-    }
-    if (!finite) return kNegInf;
-    double max_penalty = 0.0;
-    for (double inf : holdout_inf) {
-      max_penalty = std::max(max_penalty, std::fabs(inf));
-    }
-    score -= (1.0 - problem_->lambda) * max_penalty;
-  }
-  return score;
-}
-
-Result<DetailedScore> Scorer::ScoreDetailed(const Predicate& pred) const {
-  ++stats_.predicate_scores;
-  PredicateMatchCache fetched;
-  std::optional<BoundPredicate> bound;
-  if (match_source_ != nullptr) {
-    SCORPION_ASSIGN_OR_RETURN(fetched, FetchMatches(pred));
-  } else {
-    SCORPION_ASSIGN_OR_RETURN(bound, pred.Bind(*table_));
-    ConfigureBound(&*bound);
-  }
-  // Same Selection either way (the bit-identity contract on
-  // PredicateMatchSource), so the influence math below cannot diverge.
-  auto matched_for = [&](int idx) -> Result<Selection> {
-    if (match_source_ != nullptr) return fetched[idx];
-    return FilterGroup(*bound, result_->results[idx].input_group);
-  };
-
-  DetailedScore out;
-  const size_t num_outliers = problem_->outliers.size();
-  out.matched_outlier.resize(num_outliers);
-  std::vector<double> outlier_inf(num_outliers);
-  std::vector<Status> outlier_status(num_outliers);
-  ParallelForOver(pool_, 0, num_outliers, [&](size_t i) {
-    int idx = problem_->outliers[i];
-    Result<Selection> matched = matched_for(idx);
-    if (!matched.ok()) {
-      outlier_status[i] = matched.status();
-      return;
-    }
-    outlier_inf[i] = GroupInfluence(idx, *matched, /*is_outlier=*/true,
-                                    problem_->error_vectors[i]);
-    out.matched_outlier[i] = matched.MoveValueUnsafe();
-  });
-  for (const Status& st : outlier_status) {
-    SCORPION_RETURN_NOT_OK(st);
-  }
-  double outlier_sum = 0.0;
-  bool annihilated = false;
-  for (double inf : outlier_inf) {
-    if (!std::isfinite(inf)) {
-      annihilated = true;
-    } else {
-      outlier_sum += inf;
-    }
-  }
-  if (annihilated) {
-    out.full = kNegInf;
-    out.outlier_only = kNegInf;
-    return out;
-  }
-  out.outlier_only = problem_->lambda * outlier_sum /
-                     static_cast<double>(num_outliers);
-  out.full = out.outlier_only;
-  if (!problem_->holdouts.empty() && problem_->lambda < 1.0) {
-    std::vector<double> holdout_inf;
-    std::vector<Status> holdout_status(problem_->holdouts.size());
-    bool finite =
-        FillGroupInfluences(pool_, problem_->holdouts.size(), &holdout_inf,
-                            [&](size_t i) {
-                              int idx = problem_->holdouts[i];
-                              Result<Selection> matched = matched_for(idx);
-                              if (!matched.ok()) {
-                                holdout_status[i] = matched.status();
-                                return kNegInf;
-                              }
-                              return GroupInfluence(idx, *matched,
-                                                    /*is_outlier=*/false, 0.0);
-                            });
     for (const Status& st : holdout_status) {
       SCORPION_RETURN_NOT_OK(st);
     }
@@ -356,12 +278,23 @@ Result<DetailedScore> Scorer::ScoreDetailed(const Predicate& pred) const {
   return out;
 }
 
+Result<DetailedScore> Scorer::ScoreDetailed(
+    const PredicateMatchCache& matches) const {
+  return ScoreImpl(/*pred=*/nullptr, &matches, /*with_holdouts=*/true);
+}
+
 Result<double> Scorer::Influence(const Predicate& pred) const {
-  return InfluenceImpl(&pred, /*matches=*/nullptr, /*with_holdouts=*/true);
+  SCORPION_ASSIGN_OR_RETURN(
+      DetailedScore score,
+      ScoreImpl(&pred, /*matches=*/nullptr, /*with_holdouts=*/true));
+  return score.full;
 }
 
 Result<double> Scorer::InfluenceOutlierOnly(const Predicate& pred) const {
-  return InfluenceImpl(&pred, /*matches=*/nullptr, /*with_holdouts=*/false);
+  SCORPION_ASSIGN_OR_RETURN(
+      DetailedScore score,
+      ScoreImpl(&pred, /*matches=*/nullptr, /*with_holdouts=*/false));
+  return score.outlier_only;
 }
 
 Result<std::vector<double>> Scorer::InfluenceAll(
@@ -442,7 +375,7 @@ Result<std::vector<double>> Scorer::InfluenceBatch(
   });
 
   // Per-candidate serial reduction in group order — the exact operation
-  // sequence of InfluenceImpl, so batched scores are bit-identical to k
+  // sequence of ScoreImpl, so batched scores are bit-identical to k
   // Influence() calls.
   std::vector<double> out(k);
   for (size_t c = 0; c < k; ++c) {
@@ -484,96 +417,46 @@ Result<std::vector<double>> Scorer::InfluenceBatch(
 }
 
 Result<double> Scorer::InfluenceCached(const ScoredPredicate& sp) const {
-  if (sp.matches != nullptr) {
-    return InfluenceImpl(/*pred=*/nullptr, sp.matches.get(),
-                         /*with_holdouts=*/true);
-  }
-  return Influence(sp.pred);
+  if (sp.matches == nullptr) return Influence(sp.pred);
+  SCORPION_ASSIGN_OR_RETURN(DetailedScore score, ScoreDetailed(*sp.matches));
+  return score.full;
 }
 
-Result<std::shared_ptr<const PredicateMatchCache>> Scorer::BuildMatchCache(
-    const Predicate& pred) const {
-  if (match_source_ != nullptr) {
+Result<std::shared_ptr<const PredicateMatchCache>>
+Scorer::BuildMatchCacheWithin(const Predicate& pred,
+                              const PredicateMatchCache* parent) const {
+  PredicateMatchCache cache(num_slots());
+  if (parent != nullptr && parent->size() != cache.size()) {
+    return Status::InvalidArgument(
+        "parent match cache has " + std::to_string(parent->size()) +
+        " slots, expected " + std::to_string(cache.size()));
+  }
+  auto input = [&](size_t slot) -> const Selection& {
+    return parent != nullptr ? (*parent)[slot]
+                             : result_->results[SlotResult(slot)].input_group;
+  };
+  if (pred.IsTrue()) {
+    // TRUE filters nothing.
+    for (size_t slot = 0; slot < cache.size(); ++slot) {
+      cache[slot] = input(slot);
+      cache[slot].rows();
+    }
+    return std::make_shared<const PredicateMatchCache>(std::move(cache));
+  }
+  if (parent == nullptr && match_source_ != nullptr) {
     // The source already returns the fully materialized per-group cache.
-    SCORPION_ASSIGN_OR_RETURN(PredicateMatchCache cache, FetchMatches(pred));
+    SCORPION_ASSIGN_OR_RETURN(cache, FetchMatches(pred));
     return std::make_shared<const PredicateMatchCache>(std::move(cache));
   }
   SCORPION_ASSIGN_OR_RETURN(BoundPredicate bound, pred.Bind(*table_));
   ConfigureBound(&bound);
-  PredicateMatchCache cache(result_->results.size());
-  auto fill = [&](int idx) -> Status {
+  for (size_t slot = 0; slot < cache.size(); ++slot) {
     // FilterGroup returns vector form, which is the only form the cached
     // scoring path reads — so concurrent readers never trigger a lazy
     // conversion, and no full-universe bitmap is pinned in the long-lived
     // session cache.
-    SCORPION_ASSIGN_OR_RETURN(
-        cache[idx], FilterGroup(bound, result_->results[idx].input_group));
-    return Status::OK();
-  };
-  for (int idx : problem_->outliers) SCORPION_RETURN_NOT_OK(fill(idx));
-  for (int idx : problem_->holdouts) SCORPION_RETURN_NOT_OK(fill(idx));
-  return std::make_shared<const PredicateMatchCache>(std::move(cache));
-}
-
-Result<std::shared_ptr<const PredicateMatchCache>>
-Scorer::BuildMatchCacheExtended(const Predicate& pred,
-                                const SessionDeltaSeed* seed,
-                                size_t* seed_hits) const {
-  if (seed == nullptr || seed->old_num_rows == 0 ||
-      match_source_ != nullptr) {
-    return BuildMatchCache(pred);
+    SCORPION_ASSIGN_OR_RETURN(cache[slot], FilterGroup(bound, input(slot)));
   }
-  auto seed_it = seed->matches_by_pred.find(pred);
-  if (seed_it == seed->matches_by_pred.end() || seed_it->second == nullptr) {
-    return BuildMatchCache(pred);
-  }
-  const PredicateMatchCache& old_cache = *seed_it->second;
-  const size_t old_n = seed->old_num_rows;
-  const size_t new_n = table_->num_rows();
-  SCORPION_ASSIGN_OR_RETURN(BoundPredicate bound, pred.Bind(*table_));
-  ConfigureBound(&bound);
-  PredicateMatchCache cache(result_->results.size());
-  auto fill = [&](int idx) -> Status {
-    const AggregateResult& res = result_->results[idx];
-    // Locate the group's slot in the old cache by its key (indices can
-    // shift when appends create new groups). A slot the old build never
-    // filled — only outlier/hold-out slots are — still has a default
-    // (universe 0) Selection; the universe check tells them apart.
-    const Selection* old_matches = nullptr;
-    auto key_it = seed->old_index_by_key.find(res.key_string);
-    if (key_it != seed->old_index_by_key.end() &&
-        static_cast<size_t>(key_it->second) < old_cache.size()) {
-      const Selection& candidate = old_cache[key_it->second];
-      if (candidate.universe_size() == old_n) old_matches = &candidate;
-    }
-    if (old_matches == nullptr) {
-      SCORPION_ASSIGN_OR_RETURN(cache[idx],
-                                FilterGroup(bound, res.input_group));
-      return Status::OK();
-    }
-    // Rows below old_n are byte-identical across the generations and group
-    // membership over them is unchanged, so the old matches stand; only
-    // the appended suffix of the group needs the kernels.
-    const RowIdList& group_rows = res.input_group.rows();
-    auto split = std::lower_bound(group_rows.begin(), group_rows.end(),
-                                  static_cast<RowId>(old_n));
-    RowIdList delta_rows(split, group_rows.end());
-    stats_.tail_rows_scanned += delta_rows.size();
-    SCORPION_ASSIGN_OR_RETURN(
-        Selection delta_matched,
-        FilterGroup(bound,
-                    Selection::FromSorted(std::move(delta_rows), new_n)));
-    // Old matches are all < old_n and delta matches all >= old_n, both
-    // ascending — concatenation is already sorted.
-    RowIdList combined = old_matches->rows();
-    const RowIdList& delta_list = delta_matched.rows();
-    combined.insert(combined.end(), delta_list.begin(), delta_list.end());
-    cache[idx] = Selection::FromSorted(std::move(combined), new_n);
-    if (seed_hits != nullptr) ++*seed_hits;
-    return Status::OK();
-  };
-  for (int idx : problem_->outliers) SCORPION_RETURN_NOT_OK(fill(idx));
-  for (int idx : problem_->holdouts) SCORPION_RETURN_NOT_OK(fill(idx));
   return std::make_shared<const PredicateMatchCache>(std::move(cache));
 }
 

@@ -12,10 +12,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "aggregates/aggregate.h"
@@ -34,11 +32,12 @@ struct CandidateBatch;
 
 /// \brief Pluggable producer of predicate match sets.
 ///
-/// When installed on a Scorer (ScorpionOptions::match_source), every filter
-/// the scorer would run locally — bind + per-group Filter over the outlier
-/// and hold-out input groups — is replaced by one Matches() call, and the
-/// influence math runs over the returned Selections through the exact same
-/// cached-match code path used by ScoredPredicate::matches. Bit-identity
+/// When installed on a Scorer (ScorpionOptions::match_source), every
+/// whole-group filter the scorer would run locally — bind + per-group Filter
+/// over the outlier and hold-out input groups — is replaced by one Matches()
+/// call, and the influence math runs over the returned Selections through
+/// the exact same cached-match code path used by ScoredPredicate::matches.
+/// Filters narrowed within a parent's match set stay local. Bit-identity
 /// contract: Matches() must return, for every outlier/hold-out result index,
 /// precisely the row set the local filter would produce (sorted row-id
 /// vector form over the same universe). The distributed Coordinator meets
@@ -62,9 +61,6 @@ struct DetailedScore {
   double full = 0.0;
   /// inf(O, {}, p, V) — the hold-out-free conservative bound.
   double outlier_only = 0.0;
-  /// Rows of each outlier input group matched by the predicate, aligned
-  /// with ProblemSpec::outliers.
-  std::vector<Selection> matched_outlier;
 };
 
 /// Running counters, exposed so benchmarks can report scorer traffic.
@@ -77,16 +73,18 @@ struct ScorerStats {
   RelaxedCounter incremental_deltas; // Deltas served by the removable path
   // Data-plane kernel traffic (see the selection-vector data plane in the
   // README). rows_filtered counts input rows pushed through the vectorized
-  // filter kernels; match_cache_hits counts group filters skipped because a
-  // PredicateMatchCache supplied the match set; the conversion counters are
+  // filter kernels (narrowing filters within a parent's matches included);
+  // match_cache_hits counts group influences scored from a caller-provided
+  // PredicateMatchCache instead of a filter; the conversion counters are
   // deltas of the process-wide Selection counters since Scorer::Make (exact
   // when one scorer is active, an upper bound otherwise).
   RelaxedCounter rows_filtered;
   RelaxedCounter filter_kernels;
   RelaxedCounter match_cache_hits;
   // Match sets fetched from an installed PredicateMatchSource (one per
-  // scored predicate when the distributed data plane is active). Disjoint
-  // from match_cache_hits, which counts only caller-provided caches.
+  // whole-group match set when the distributed data plane is active).
+  // Disjoint from match_cache_hits, which counts only caller-provided
+  // caches.
   RelaxedCounter remote_match_fetches;
   RelaxedCounter bitmap_to_vector;
   RelaxedCounter vector_to_bitmap;
@@ -105,29 +103,6 @@ struct ScorerStats {
   // block slice instead of each loading it.
   RelaxedCounter candidate_batches;
   RelaxedCounter blocks_shared_across_candidates;
-  // Live-table delta refresh (src/storage/): rows past a session's old
-  // high-water mark filtered by BuildMatchCacheExtended instead of
-  // refiltering whole groups from row zero.
-  RelaxedCounter tail_rows_scanned;
-};
-
-/// \brief Carry-over state for refreshing an ExplainSession onto a newer
-/// generation of the same live table.
-///
-/// Holds the per-predicate match caches built at the old generation, the
-/// old row count (the high-water mark: every row below it is byte-identical
-/// across the two generations), and the old result index for each group
-/// key (group indices can shift when appends create new groups).
-/// Scorer::BuildMatchCacheExtended consumes this to extend cached per-group
-/// match Selections by filtering only the appended suffix.
-struct SessionDeltaSeed {
-  size_t old_num_rows = 0;
-  /// Predicate (exact equality) → the match cache built for it at the old
-  /// generation.
-  std::unordered_map<Predicate, std::shared_ptr<const PredicateMatchCache>>
-      matches_by_pred;
-  /// Group key_string → result index at the old generation.
-  std::map<std::string, int> old_index_by_key;
 };
 
 /// \brief Influence oracle bound to one (table, query result, problem).
@@ -167,30 +142,21 @@ class Scorer {
   Result<std::vector<double>> InfluenceAll(
       const std::vector<Predicate>& preds) const;
 
-  /// Filters every outlier/hold-out input group by `pred` into a shareable,
-  /// fully materialized match cache (the c-agnostic half of a score; see
-  /// PredicateMatchCache).
-  Result<std::shared_ptr<const PredicateMatchCache>> BuildMatchCache(
-      const Predicate& pred) const;
+  /// Filters `pred` within `parent`, a compact match cache (see
+  /// PredicateMatchCache) of a predicate whose rows include every row
+  /// `pred` matches, into a shareable, fully materialized cache. Null
+  /// `parent` means the whole input groups; only that case goes to an
+  /// installed match source, and TRUE filters nothing. Exact either way: filtering is row-local, so
+  /// Filter(pred, Filter(parent, g)) is Filter(pred, g) whenever pred's
+  /// rows are a subset of parent's — in particular when `pred` is just the
+  /// one clause a child box narrows, since the parent's rows already
+  /// satisfy every other clause.
+  Result<std::shared_ptr<const PredicateMatchCache>> BuildMatchCacheWithin(
+      const Predicate& pred, const PredicateMatchCache* parent) const;
 
-  /// BuildMatchCache with live-table delta refresh: when `seed` carries a
-  /// cache for `pred` built at an older generation whose encoded rows are a
-  /// prefix of this table's, each group's old match Selection is reused
-  /// verbatim and only group rows past seed->old_num_rows are filtered.
-  /// Bit-identical to a cold build — filtering is row-local and the shared
-  /// prefix is byte-identical, so old matches ∪ filter(appended rows) is
-  /// exactly filter(whole group). Groups the old cache never filled (only
-  /// outlier/hold-out slots are built) and groups new at this generation
-  /// fall back to a cold filter. `seed_hits`, when non-null, is incremented
-  /// once per group served by extension. Null `seed` (or an installed match
-  /// source) degrades to BuildMatchCache.
-  Result<std::shared_ptr<const PredicateMatchCache>> BuildMatchCacheExtended(
-      const Predicate& pred, const SessionDeltaSeed* seed,
-      size_t* seed_hits) const;
-
-  /// Full + hold-out-free influence and the matched outlier rows, in one
-  /// pass over the input groups.
-  Result<DetailedScore> ScoreDetailed(const Predicate& pred) const;
+  /// Full + hold-out-free influence of the predicate whose match sets are
+  /// `matches`, with no filter.
+  Result<DetailedScore> ScoreDetailed(const PredicateMatchCache& matches) const;
 
   /// Influence of the singleton predicate matching exactly `row`, which must
   /// belong to the input group of result `result_idx`. Uses the error vector
@@ -254,10 +220,10 @@ class Scorer {
   /// split sweep evaluates batches without filtering). Thread-safe.
   void NoteCandidateBatch() const { ++stats_.candidate_batches; }
 
-  /// Routes all match-set production through `source` (nullptr restores
-  /// local filtering). Not owned; must outlive the Scorer's scoring calls.
-  /// Caller-provided caches (ScoredPredicate::matches) still win: they are
-  /// consulted before the source.
+  /// Routes whole-group match-set production through `source` (nullptr
+  /// restores local filtering). Not owned; must outlive the Scorer's
+  /// scoring calls. Caller-provided caches (ScoredPredicate::matches) still
+  /// win: they are consulted before the source.
   void set_match_source(PredicateMatchSource* source) {
     match_source_ = source;
   }
@@ -293,15 +259,28 @@ class Scorer {
   /// else from the installed match source, else from binding and filtering
   /// `pred` locally; the reduction structure is identical for all three, so
   /// a cached or remote rescoring is bit-identical to a cold local one.
-  Result<double> InfluenceImpl(const Predicate* pred,
-                               const PredicateMatchCache* matches,
-                               bool with_holdouts) const;
+  /// Without hold-outs, `full` is left equal to `outlier_only`.
+  Result<DetailedScore> ScoreImpl(const Predicate* pred,
+                                  const PredicateMatchCache* matches,
+                                  bool with_holdouts) const;
 
-  /// One Matches() round-trip to the installed source, with counting.
+  /// One Matches() round-trip to the installed source, with counting,
+  /// compacted to PredicateMatchCache's slot layout.
   Result<PredicateMatchCache> FetchMatches(const Predicate& pred) const;
 
+  /// Outlier slots, then hold-out slots, of a compact match cache.
+  size_t num_slots() const {
+    return problem_->outliers.size() + problem_->holdouts.size();
+  }
+  /// Result index of compact slot `slot`.
+  int SlotResult(size_t slot) const {
+    const size_t num_outliers = problem_->outliers.size();
+    return slot < num_outliers ? problem_->outliers[slot]
+                               : problem_->holdouts[slot - num_outliers];
+  }
+
   /// Scores every candidate of one batch: one FilterBatch per input group,
-  /// then a per-candidate serial reduction identical to InfluenceImpl's.
+  /// then a per-candidate serial reduction identical to ScoreImpl's.
   Result<std::vector<double>> InfluenceBatch(const CandidateBatch& batch) const;
 
   const Table* table_ = nullptr;

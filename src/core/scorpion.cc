@@ -16,38 +16,6 @@ namespace scorpion {
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-/// Attaches per-group match Selections (Scorer::BuildMatchCache) to each
-/// partition. Done once when fresh DT partitions enter a session: filtering
-/// is c-agnostic like the partitions themselves, so every later run against
-/// the session rescoras them without touching the table. When `seed` is
-/// non-null (a live-table delta refresh), predicates the previous
-/// generation already cached extend their matches over only the appended
-/// rows; `*seed_hits` accumulates how many groups were served that way.
-/// Statuses land in per-index slots; the first error in partition order
-/// wins.
-Status AttachMatchCaches(const Scorer& scorer,
-                         std::vector<ScoredPredicate>* partitions,
-                         const SessionDeltaSeed* seed, size_t* seed_hits) {
-  std::vector<Status> statuses(partitions->size());
-  std::vector<size_t> hits(partitions->size(), 0);
-  ParallelForOver(scorer.thread_pool(), 0, partitions->size(), [&](size_t i) {
-    auto built = scorer.BuildMatchCacheExtended((*partitions)[i].pred, seed,
-                                                &hits[i]);
-    if (built.ok()) {
-      (*partitions)[i].matches = built.MoveValueUnsafe();
-    } else {
-      statuses[i] = built.status();
-    }
-  });
-  for (const Status& st : statuses) {
-    SCORPION_RETURN_NOT_OK(st);
-  }
-  if (seed_hits != nullptr) {
-    for (size_t h : hits) *seed_hits += h;
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 bool ExplainSession::LookupMergedLocked(
@@ -107,37 +75,15 @@ void ExplainSession::Clear() {
   partitions_.clear();
   merged_by_c_.clear();
   key_ = DataKey{};
-  seed_.reset();
 }
 
-bool ExplainSession::BeginDeltaRefresh(uint64_t new_generation,
-                                       size_t new_num_rows,
-                                       const QueryResult& old_result) {
+void ExplainSession::BeginDeltaRefresh(uint64_t new_generation,
+                                       size_t new_num_rows) {
   WriterMutexLock lock(mu_);
-  std::unique_ptr<SessionDeltaSeed> seed;
-  // A seed only makes sense when the session's cached state belongs to a
-  // strictly smaller table (rows only grow under live ingest) and at least
-  // one partition carries a match cache to extend.
-  if (has_partitions_ && key_.set && key_.num_rows < new_num_rows) {
-    seed = std::make_unique<SessionDeltaSeed>();
-    seed->old_num_rows = key_.num_rows;
-    for (const ScoredPredicate& sp : partitions_) {
-      if (sp.matches != nullptr) {
-        seed->matches_by_pred[sp.pred] = sp.matches;
-      }
-    }
-    for (size_t i = 0; i < old_result.results.size(); ++i) {
-      seed->old_index_by_key[old_result.results[i].key_string] =
-          static_cast<int>(i);
-    }
-    if (seed->matches_by_pred.empty()) seed.reset();
-  }
   has_partitions_ = false;
   partitions_.clear();
   merged_by_c_.clear();
   SetKeyLocked(new_generation, new_num_rows);
-  seed_ = std::move(seed);
-  return seed_ != nullptr;
 }
 
 Scorpion::Scorpion(ScorpionOptions options) : options_(std::move(options)) {}
@@ -304,16 +250,8 @@ Result<Explanation> Scorpion::Run(const Table& table,
           } else {
             DTPartitioner dt(scorer, options_.dt);
             SCORPION_ASSIGN_OR_RETURN(partitions, dt.Run());
-            // Cache the c-agnostic match Selections with the partitions, so
-            // later runs (any c) skip re-filtering the table entirely. A
-            // delta seed parked by BeginDeltaRefresh extends the previous
-            // generation's matches over only the appended rows; it is
-            // one-shot, consumed here.
-            size_t seed_hits = 0;
-            SCORPION_RETURN_NOT_OK(AttachMatchCaches(
-                scorer, &partitions, session->seed_.get(), &seed_hits));
-            session->seed_.reset();
-            out.session_delta_refreshed = seed_hits > 0;
+            // The partitions carry their c-agnostic match Selections, so
+            // later runs (any c) skip re-filtering the table entirely.
             session->partitions_ = partitions;
             session->has_partitions_ = true;
             session->SetKeyLocked(cur_generation, cur_num_rows);
@@ -361,6 +299,7 @@ Result<Explanation> Scorpion::Run(const Table& table,
     case Algorithm::kMC: {
       MCPartitioner mc(scorer, options_.mc, options_.merger);
       SCORPION_ASSIGN_OR_RETURN(out.predicates, mc.Run());
+      for (ScoredPredicate& sp : out.predicates) sp.matches.reset();
       break;
     }
   }

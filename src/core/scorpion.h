@@ -40,11 +40,6 @@ struct Explanation {
   /// True when a session served the whole merged result (exact-c hit); the
   /// run skipped partitioning and merging entirely.
   bool cache_result_hit = false;
-  /// True when this run rebuilt a delta-refreshed session's match caches by
-  /// extending the previous generation's cached matches (filtering only
-  /// rows past the old high-water mark) instead of refiltering from row
-  /// zero. See ExplainSession::BeginDeltaRefresh.
-  bool session_delta_refreshed = false;
 
   /// The winning predicate. CHECK-fails (aborts with a message) when
   /// `predicates` is empty instead of silently dereferencing past the end;
@@ -75,28 +70,16 @@ class ExplainSession {
   ExplainSession() = default;
   SCORPION_DISALLOW_COPY_AND_ASSIGN(ExplainSession);
 
-  /// Drops cached partitions and merged results (and any delta seed).
+  /// Drops cached partitions and merged results.
   void Clear();
 
-  /// Re-keys the session to a newer generation of the same live table
-  /// instead of dropping it cold. Cached DT partitions and merged results
-  /// are cleared — their influence scores depend on data-dependent splits
-  /// that must recompute against the grown table — but the partitions'
-  /// per-predicate match caches, the old row count, and each group key's
-  /// old result index (from `old_result`, the query result the session was
-  /// built against) are parked as a SessionDeltaSeed. The next cold run
-  /// rebuilds match caches through Scorer::BuildMatchCacheExtended,
-  /// filtering only rows past the old high-water mark. The seed is
-  /// one-shot: consumed by the first run that stores fresh partitions.
-  ///
-  /// Also installs the (generation, row-count) data key, so an in-flight
-  /// run still scoring the *old* generation can no longer store stale
-  /// state into (or read refreshed state out of) this session.
-  ///
-  /// Returns true when a seed was installed; false when the session had
-  /// nothing reusable (it is then simply cleared and re-keyed).
-  bool BeginDeltaRefresh(uint64_t new_generation, size_t new_num_rows,
-                         const QueryResult& old_result);
+  /// Re-keys the session to a newer generation of the same live table:
+  /// cached DT partitions and merged results are dropped (their splits and
+  /// scores depend on the data), and the (generation, row-count) data key
+  /// is installed, so an in-flight run still scoring the *old* generation
+  /// can no longer store stale state into (or read refreshed state out of)
+  /// this session.
+  void BeginDeltaRefresh(uint64_t new_generation, size_t new_num_rows);
 
  private:
   friend class Scorpion;
@@ -169,9 +152,6 @@ class ExplainSession {
   std::map<double, MergedEntry, std::greater<double>> merged_by_c_
       SCORPION_GUARDED_BY(mu_);
   DataKey key_ SCORPION_GUARDED_BY(mu_);
-  // One-shot carry-over from the previous generation, installed by
-  // BeginDeltaRefresh and consumed by the next cold partition build.
-  std::unique_ptr<SessionDeltaSeed> seed_ SCORPION_GUARDED_BY(mu_);
 };
 
 /// \brief End-to-end explanation engine.

@@ -249,9 +249,6 @@ void ExplanationService::Execute(ScheduledJob item) {
                             result->scorer_stats.blocks_pruned_all.load();
     stats_.rows_skipped_by_pruning +=
         result->scorer_stats.rows_skipped_by_pruning.load();
-    if (result->session_delta_refreshed) ++stats_.sessions_delta_refreshed;
-    stats_.tail_rows_scanned +=
-        result->scorer_stats.tail_rows_scanned.load();
     stats_.RecordLatency(std::chrono::duration<double>(
                              Job::Clock::now() - item.enqueue_time)
                              .count());

@@ -44,10 +44,9 @@ struct ServiceStatsSnapshot {
   // gates on it.
   uint64_t failpoints_tripped = 0;
   // Live-table ingest plane (src/storage/): generations published through
-  // LiveDataset::Refresh, runs whose session match caches were rebuilt by
-  // extending the previous generation's Selections instead of refiltering
-  // from row zero, and the delta rows (past each seed's old high-water
-  // mark) those extensions actually scanned.
+  // LiveDataset::Refresh. No match set is extended over appended rows, so
+  // sessions_delta_refreshed and tail_rows_scanned always read 0; they stay
+  // for readers of the snapshot (perfbench's sensor_live).
   uint64_t snapshot_generations_published = 0;
   uint64_t sessions_delta_refreshed = 0;
   uint64_t tail_rows_scanned = 0;

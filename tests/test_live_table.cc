@@ -270,23 +270,16 @@ TEST(SessionDeltaRefresh, BitIdenticalToSessionlessRun) {
                               {"sensorid", "voltage"});
   ASSERT_TRUE(problem2.ok());
 
-  // Re-key the session: the warm run's match caches become the delta seed.
-  EXPECT_TRUE(session.BeginDeltaRefresh((*snap2)->generation,
-                                        (*snap2)->table.num_rows(), *qr1));
+  // Re-key the session to the new generation.
+  session.BeginDeltaRefresh((*snap2)->generation, (*snap2)->table.num_rows());
 
   auto refreshed =
       engine.ExplainShared((*snap2)->table, *qr2, *problem2, &session);
   ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
-  EXPECT_TRUE(refreshed->session_delta_refreshed);
-  // The extensions scanned delta rows — and only delta rows — per seeded
-  // predicate: strictly fewer than one full-table refilter would.
-  const uint64_t tail_scanned = refreshed->scorer_stats.tail_rows_scanned;
-  EXPECT_GT(tail_scanned, 0u);
 
   Scorpion cold_engine;
   auto cold = cold_engine.Explain((*snap2)->table, *qr2, *problem2);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  EXPECT_EQ(cold->scorer_stats.tail_rows_scanned.load(), 0u);
 
   ASSERT_EQ(refreshed->predicates.size(), cold->predicates.size());
   for (size_t i = 0; i < cold->predicates.size(); ++i) {
@@ -335,8 +328,6 @@ TEST(LiveDataset, DeltaRefreshBitIdenticalToColdOpen) {
 
   const ServiceStatsSnapshot s = stats.Snapshot(0);
   EXPECT_EQ(s.snapshot_generations_published, 2u);  // OpenLive + Refresh
-  EXPECT_EQ(s.sessions_delta_refreshed, 1u);
-  EXPECT_GT(s.tail_rows_scanned, 0u);
 }
 
 TEST(LiveDataset, RefreshWithoutAppendsKeepsTheGeneration) {

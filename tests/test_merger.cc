@@ -285,10 +285,12 @@ class MergerMemo : public MergerOnSynth {
   /// scored twice, that every exact score is one fetch, that repeats were
   /// served from the memo, and that the output is bit-identical across
   /// configurations. Stores in `replayed` the number of expansion steps
-  /// replayed, which every configuration must agree on.
-  void ExpectEachPredicateScoredOnce(const std::vector<ScoredPredicate>& inputs,
+  /// replayed, which every configuration must agree on. The inputs' match
+  /// sets are dropped first, so every exact score goes to the source.
+  void ExpectEachPredicateScoredOnce(std::vector<ScoredPredicate> inputs,
                                      const MergerOptions& opts,
                                      uint64_t* replayed = nullptr) {
+    for (ScoredPredicate& sp : inputs) sp.matches.reset();
     ThreadPool pool(4);
     std::optional<std::vector<ScoredPredicate>> reference;
     std::optional<uint64_t> first_replayed;
@@ -360,6 +362,33 @@ TEST_F(MergerMemo, DTMergeScoresEachPredicateOnce) {
   ExpectEachPredicateScoredOnce(*partitions, MergerOptions{}, &replayed);
   // Seeds converge: some reach a state an earlier seed already expanded.
   EXPECT_GT(replayed, 0u);
+}
+
+TEST_F(MergerMemo, PartitionsCarryingMatchesAreNeverFetched) {
+  DTPartitioner dt(*scorer_, DTOptions{});
+  auto partitions = dt.Run();
+  ASSERT_TRUE(partitions.ok()) << partitions.status().ToString();
+  std::unordered_set<Predicate> distinct;
+  for (ScoredPredicate& sp : *partitions) {
+    ASSERT_NE(sp.matches, nullptr) << sp.pred.ToString();
+    sp.influence = -std::numeric_limits<double>::infinity();
+    distinct.insert(sp.pred);
+  }
+  RecordingMatchSource source(dataset_->table, *qr_, *problem_);
+  scorer_->set_match_source(&source);
+  Merger merger(*scorer_, domains_, MergerOptions{});
+  auto merged = merger.Run(*partitions);
+  scorer_->set_match_source(nullptr);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+
+  const MergerStats& stats = merger.stats();
+  EXPECT_EQ(stats.match_cache_scores.load(), distinct.size());
+  const std::vector<Predicate> requested = source.requested();
+  EXPECT_EQ(stats.exact_scores.load(),
+            stats.match_cache_scores.load() + requested.size());
+  for (const Predicate& pred : requested) {
+    EXPECT_EQ(distinct.count(pred), 0u) << "fetched " << pred.ToString();
+  }
 }
 
 TEST_F(MergerMemo, MCMergeScoresEachPredicateOnce) {

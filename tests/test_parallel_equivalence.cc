@@ -122,18 +122,22 @@ TEST(ParallelEquivalence, ScorerInfluenceMatchesSerialBitForBit) {
   ASSERT_TRUE(parallel_inf.ok());
   EXPECT_EQ(*serial_inf, *parallel_inf);
 
-  auto detailed_pooled = scorer->ScoreDetailed(f.dataset.inner_cube);
+  auto matches_pooled =
+      scorer->BuildMatchCacheWithin(f.dataset.inner_cube, nullptr);
+  ASSERT_TRUE(matches_pooled.ok());
+  auto detailed_pooled = scorer->ScoreDetailed(**matches_pooled);
   scorer->set_thread_pool(nullptr);
-  auto detailed_plain = scorer->ScoreDetailed(f.dataset.inner_cube);
+  auto matches_plain =
+      scorer->BuildMatchCacheWithin(f.dataset.inner_cube, nullptr);
+  ASSERT_TRUE(matches_plain.ok());
+  auto detailed_plain = scorer->ScoreDetailed(**matches_plain);
   ASSERT_TRUE(detailed_pooled.ok());
   ASSERT_TRUE(detailed_plain.ok());
   EXPECT_EQ(detailed_pooled->full, detailed_plain->full);
   EXPECT_EQ(detailed_pooled->outlier_only, detailed_plain->outlier_only);
-  ASSERT_EQ(detailed_pooled->matched_outlier.size(),
-            detailed_plain->matched_outlier.size());
-  for (size_t i = 0; i < detailed_pooled->matched_outlier.size(); ++i) {
-    EXPECT_EQ(detailed_pooled->matched_outlier[i],
-              detailed_plain->matched_outlier[i]);
+  ASSERT_EQ((*matches_pooled)->size(), (*matches_plain)->size());
+  for (size_t i = 0; i < (*matches_pooled)->size(); ++i) {
+    EXPECT_EQ((**matches_pooled)[i], (**matches_plain)[i]);
   }
 }
 

@@ -3,6 +3,8 @@
 // MC property gating and pruning counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "common/random.h"
@@ -120,6 +122,57 @@ TEST(NaivePartitioner, FindsSingleBestUnitOnTinyData) {
 }
 
 // --- DT -------------------------------------------------------------------------
+
+/// Reference for SplitQuantiles on NaN-free values: sort, then read the
+/// quantile positions off the sorted vector.
+std::vector<double> SortedQuantiles(std::vector<double> values,
+                                    int num_candidates) {
+  std::vector<double> out;
+  if (values.size() < 2) return out;
+  std::sort(values.begin(), values.end());
+  for (int q = 1; q <= num_candidates; ++q) {
+    size_t pos = values.size() * static_cast<size_t>(q) /
+                 (static_cast<size_t>(num_candidates) + 1);
+    pos = std::min(pos, values.size() - 1);
+    const double v = values[pos];
+    if (v > values.front() && v <= values.back() &&
+        (out.empty() || out.back() != v)) {
+      out.push_back(v);
+    }
+  }
+  return out;
+}
+
+TEST(DTSplitQuantiles, MatchTheSortOracle) {
+  Rng rng(3);
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 40; ++n) sizes.push_back(n);
+  sizes.push_back(100);
+  sizes.push_back(1000);
+  for (size_t n : sizes) {
+    for (int k : {1, 2, 3, 5, 9}) {
+      for (bool duplicates : {false, true}) {
+        std::vector<double> values;
+        for (size_t i = 0; i < n; ++i) {
+          values.push_back(duplicates
+                               ? static_cast<double>(rng.UniformInt(0, 4))
+                               : rng.Uniform(-50.0, 50.0));
+        }
+        EXPECT_EQ(SplitQuantiles(values, k), SortedQuantiles(values, k))
+            << "n=" << n << " k=" << k << " duplicates=" << duplicates;
+      }
+    }
+  }
+}
+
+TEST(DTSplitQuantiles, DropNaNsFirst) {
+  const double nan = std::nan("");
+  std::vector<double> values = {nan, 4.0, 1.0, nan, 3.0, 2.0, nan, 5.0, 6.0};
+  EXPECT_EQ(SplitQuantiles(values, 3),
+            SortedQuantiles({4.0, 1.0, 3.0, 2.0, 5.0, 6.0}, 3));
+  EXPECT_TRUE(SplitQuantiles({nan, nan, 1.0}, 3).empty());
+  EXPECT_TRUE(SplitQuantiles({nan, nan, nan}, 3).empty());
+}
 
 TEST(DTPartitioner, PartitionsTileTheSpaceDisjointly) {
   Instance inst = MakeInstance(0.5, "AVG");

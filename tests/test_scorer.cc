@@ -173,7 +173,9 @@ TEST_F(ScorerPaperExample, DetailedScoreMatchesInfluence) {
   Predicate pred;
   auto col = table_.ColumnByName("sensorid");
   ASSERT_TRUE(pred.AddSet({"sensorid", {(*col)->CodeOf("3")}}).ok());
-  auto detailed = scorer->ScoreDetailed(pred);
+  auto matches = scorer->BuildMatchCacheWithin(pred, nullptr);
+  ASSERT_TRUE(matches.ok());
+  auto detailed = scorer->ScoreDetailed(**matches);
   auto full = scorer->Influence(pred);
   auto outlier_only = scorer->InfluenceOutlierOnly(pred);
   ASSERT_TRUE(detailed.ok());
@@ -181,9 +183,10 @@ TEST_F(ScorerPaperExample, DetailedScoreMatchesInfluence) {
   ASSERT_TRUE(outlier_only.ok());
   EXPECT_NEAR(detailed->full, *full, 1e-12);
   EXPECT_NEAR(detailed->outlier_only, *outlier_only, 1e-12);
-  ASSERT_EQ(detailed->matched_outlier.size(), 2u);
-  EXPECT_EQ(detailed->matched_outlier[0].rows(), RowIdList{5});  // T6
-  EXPECT_EQ(detailed->matched_outlier[1].rows(), RowIdList{8});  // T9
+  // Compact slots: the two outliers, then the hold-out.
+  ASSERT_EQ((*matches)->size(), 3u);
+  EXPECT_EQ((**matches)[0].rows(), RowIdList{5});  // T6
+  EXPECT_EQ((**matches)[1].rows(), RowIdList{8});  // T9
   // Outlier-only upper-bounds the full score.
   EXPECT_GE(detailed->outlier_only, detailed->full);
 }
@@ -203,50 +206,6 @@ TEST_F(ScorerPaperExample, IncrementalMatchesBlackBoxPath) {
   EXPECT_NEAR(scorer->UpdatedValue(1, Selection::FromSorted(
                                        {3, 4}, table_.num_rows())),
               100.0, 1e-9);
-}
-
-TEST_F(ScorerPaperExample, DeltaSeedKeysOnTheExactPredicate) {
-  // Two predicates whose bounds differ past ToString's six significant
-  // digits print alike. A delta seed parked for one must not extend the
-  // other's matches: the lookup misses and the build filters fresh.
-  ProblemSpec problem = PaperProblem();
-  auto scorer = Scorer::Make(table_, qr_, problem);
-  ASSERT_TRUE(scorer.ok());
-  Predicate seeded, looked_up, hot;
-  ASSERT_TRUE(seeded.AddRange({"voltage", 1.0000001, 2.0, false}).ok());
-  ASSERT_TRUE(looked_up.AddRange({"voltage", 1.0000002, 2.0, false}).ok());
-  ASSERT_TRUE(hot.AddRange({"voltage", 2.2, 2.4, false}).ok());
-  ASSERT_EQ(seeded.ToString(), looked_up.ToString());
-
-  // The seeded cache holds the hot sensor's rows, so serving it for
-  // `looked_up` (which matches nothing) would be visibly wrong.
-  auto hot_matches = scorer->BuildMatchCache(hot);
-  ASSERT_TRUE(hot_matches.ok());
-  SessionDeltaSeed seed;
-  seed.old_num_rows = table_.num_rows();
-  seed.matches_by_pred[seeded] = *hot_matches;
-  for (size_t i = 0; i < qr_.results.size(); ++i) {
-    seed.old_index_by_key[qr_.results[i].key_string] = static_cast<int>(i);
-  }
-
-  size_t seed_hits = 0;
-  auto extended =
-      scorer->BuildMatchCacheExtended(looked_up, &seed, &seed_hits);
-  ASSERT_TRUE(extended.ok());
-  EXPECT_EQ(seed_hits, 0u);
-  EXPECT_EQ(scorer->stats().tail_rows_scanned.load(), 0u);
-  auto fresh = scorer->BuildMatchCache(looked_up);
-  ASSERT_TRUE(fresh.ok());
-  ASSERT_EQ((*extended)->size(), (*fresh)->size());
-  for (int idx : {0, 1, 2}) {
-    EXPECT_EQ((**extended)[idx].rows(), (**fresh)[idx].rows());
-    EXPECT_TRUE((**extended)[idx].rows().empty());
-  }
-
-  // The exact predicate still hits.
-  auto hit = scorer->BuildMatchCacheExtended(seeded, &seed, &seed_hits);
-  ASSERT_TRUE(hit.ok());
-  EXPECT_GT(seed_hits, 0u);
 }
 
 }  // namespace
